@@ -9,7 +9,6 @@ Reports go to --out as CSV or JSON lines with a config header; without
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -283,7 +282,6 @@ def cmd_contain(args) -> int:
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write a report file instead of printing rows")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="report file format")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in report headers; sweeps here are exhaustive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MachineError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (MachineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

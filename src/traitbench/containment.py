@@ -59,15 +59,23 @@ def _substring_free(classified: tuple[str, ...]) -> Callable[[str], bool]:
 def policy_from_dict(data: dict) -> ContainmentPolicy:
     """Build a policy from {"classified": [...], "unclassified_regex": "..."}.
 
-    Without a regex, a string is unclassified exactly when it contains no
-    classified string as a substring.
+    "classified" must be a list of nonempty strings; the optional regex must
+    be a string that compiles. Anything else raises ValueError. Without a
+    regex, a string is unclassified exactly when it contains no classified
+    string as a substring.
     """
-    classified = tuple(data["classified"])
+    listed = data.get("classified") if isinstance(data, dict) else None
+    if not isinstance(listed, list) or not all(isinstance(chi, str) for chi in listed):
+        raise ValueError('a policy needs "classified": a list of nonempty strings')
+    classified = tuple(listed)
     pattern = data.get("unclassified_regex")
     if pattern is None:
         predicate = _substring_free(classified)
     else:
-        compiled = re.compile(pattern)
+        try:
+            compiled = re.compile(pattern)
+        except (re.error, TypeError) as exc:
+            raise ValueError(f"unclassified_regex {pattern!r} is not a valid regular expression: {exc}") from None
         predicate = lambda s: compiled.fullmatch(s) is not None
     return ContainmentPolicy(classified, predicate)
 

@@ -12,6 +12,13 @@ occurred.
 Every evaluation here is fuel-bounded: the caller supplies a maximum step
 count and gets back a three-way outcome (halted with output, halted
 undefined, or fuel exhausted) so that no query can hang.
+
+All multi-step simulation goes through one private core, `_simulate`. It
+checks fuel and input once, counts space as the visited interval, and
+calls an optional watch(steps, state, head, tape) on every configuration;
+a true return stops the run as not halted. `run` is the core without a
+watch, `trace` is a watch that snapshots configurations, and the space
+measure's graph in `measures` is a watch that stops on a repeat.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 LEFT = "L"
 RIGHT = "R"
@@ -179,9 +186,8 @@ def initialize(m: MachineDescription, input_string: str) -> Configuration:
 
 
 def _check_input(m: MachineDescription, input_string: str) -> None:
-    allowed = set(m.input_alphabet)
     for sym in input_string:
-        if sym not in allowed:
+        if sym not in m.input_alphabet:
             raise MachineError(f"input symbol {sym!r} is not in the input alphabet")
 
 
@@ -203,54 +209,63 @@ def step(m: MachineDescription, config: Configuration) -> Configuration:
 def _classify_tape(m: MachineDescription, tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
     if not tape:
         return None, UndefinedReason.BLANK_TAPE
-    allowed = set(m.input_alphabet)
-    cells = sorted(tape)
-    if any(tape[c] not in allowed for c in cells):
+    content = "".join([tape[c] for c in sorted(tape)])
+    if not set(m.input_alphabet).issuperset(content):
         return None, UndefinedReason.NON_INPUT_SYMBOL
-    return "".join(tape[c] for c in cells), None
+    return content, None
 
 
-def run(m: MachineDescription, input_string: str, fuel: int) -> RunOutcome:
-    """Run for at most `fuel` steps and report the outcome with exact counts."""
+def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callable[[int, int, int, dict[int, str]], object] | None = None) -> RunOutcome:
+    """The one stepping loop; run, trace and the space graph are built on it.
+
+    watch(steps, state, head, tape), if given, sees every configuration, the
+    first and the last included, before the next transition; the tape is the
+    live dict and must not be mutated. A true return stops the run, reported
+    as not halted.
+    """
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
     _check_input(m, input_string)
     tape = {i + 1: sym for i, sym in enumerate(input_string)}
     state = m.start_state
-    head = 0
-    visited = {0}
-    steps = 0
-    halting = m.halting_states
+    head = lo = hi = steps = 0
+    halting = (m.accept_state, m.reject_state)
     rules = m.rule_map
     blank = m.blank
-    while state not in halting:
+    while True:
+        if watch is not None and watch(steps, state, head, tape):
+            break
+        if state in halting:
+            output, reason = _classify_tape(m, tape)
+            kind = RunKind.HALTED_UNDEFINED if output is None else RunKind.HALTED_OUTPUT
+            return RunOutcome(kind, steps, hi - lo + 1, output, reason)
         if steps >= fuel:
-            return RunOutcome(RunKind.FUEL_EXHAUSTED, steps=steps, space=len(visited))
-        visited.add(head)
-        read = tape.get(head, blank)
-        state, written, move = rules[(state, read)]
+            break
+        # The head moves one cell per step, so the scanned cells are [lo, hi].
+        if head < lo:
+            lo = head
+        elif head > hi:
+            hi = head
+        state, written, move = rules[(state, tape.get(head, blank))]
         if written == blank:
             tape.pop(head, None)
         else:
             tape[head] = written
         head += 1 if move == RIGHT else -1
         steps += 1
-    output, reason = _classify_tape(m, tape)
-    if output is None:
-        return RunOutcome(RunKind.HALTED_UNDEFINED, steps=steps, space=len(visited), reason=reason)
-    return RunOutcome(RunKind.HALTED_OUTPUT, steps=steps, space=len(visited), output=output)
+    return RunOutcome(RunKind.FUEL_EXHAUSTED, steps, hi - lo + 1)
+
+
+def run(m: MachineDescription, input_string: str, fuel: int) -> RunOutcome:
+    """Run for at most `fuel` steps and report the outcome with exact counts."""
+    return _simulate(m, input_string, fuel)
 
 
 def trace(m: MachineDescription, input_string: str, fuel: int) -> list[Configuration]:
     """All configurations visited, from the start one until halt or fuel runs out."""
-    config = initialize(m, input_string)
-    out = [config]
-    for _ in range(fuel):
-        if config.state in m.halting_states:
-            break
-        config = step(m, config)
-        out.append(config)
-    return out
+    configs: list[Configuration] = []
+    _simulate(m, input_string, fuel, lambda _, state, head, tape: configs.append(Configuration(state, head, dict(tape))))
+    return configs
 
 
 def render_tape(config: Configuration, blank: str = BLANK) -> str:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping
 from .machine import (
     MachineDescription,
     RunKind,
+    _simulate,
     run,
     strings_up_to,
 )
@@ -64,47 +65,34 @@ def pigeonhole_step_bound(m: MachineDescription, n: int) -> int:
 def _space_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     """Fuel-free decision of "the machine halts with output scanning exactly n cells".
 
-    Simulation stops as soon as the head scans more than n distinct cells
-    (the answer is then no regardless of what happens later) and detects
-    configuration repeats, which prove divergence because the dynamics are
-    deterministic. A confined non-repeating run is bounded by the pigeonhole
-    step bound, so this always terminates.
+    The run stops as soon as the head scans more than n cells (the answer is
+    then no whatever happens later), or when the configuration equals a
+    snapshot retaken at every power-of-two step (Brent's cycle detection).
+    The comparison is exact: any repeat proves divergence, because the
+    dynamics are deterministic, and a run that reaches a cycle after p steps
+    and repeats every c steps is caught by step 2 * max(p, c) + c. A confined
+    run that repeats nothing halts within pigeonhole_step_bound steps, and
+    the fuel is one more than that, so this always terminates.
     """
-    for sym in sigma:
-        if sym not in m.input_alphabet:
-            return False
-    tape = {i + 1: sym for i, sym in enumerate(sigma)}
-    state = m.start_state
-    head = 0
-    visited = {0}
-    halting = m.halting_states
-    rules = m.rule_map
-    blank = m.blank
-    seen: set[tuple[int, int, frozenset[tuple[int, str]]]] = set()
-    bound = pigeonhole_step_bound(m, n)
-    steps = 0
-    while state not in halting:
-        visited.add(head)
-        if len(visited) > n:
-            return False
-        key = (state, head, frozenset(tape.items()))
-        if key in seen or steps > bound:
-            return False
-        seen.add(key)
-        read = tape.get(head, blank)
-        state, written, move = rules[(state, read)]
-        if written == blank:
-            tape.pop(head, None)
-        else:
-            tape[head] = written
-        head += 1 if move == "R" else -1
-        steps += 1
-    if len(visited) != n:
+    if any(sym not in m.input_alphabet for sym in sigma):
         return False
-    if not tape:
+    halting = (m.accept_state, m.reject_state)
+    lo = hi = 0
+    snapshot = None
+
+    def stop(steps: int, state: int, head: int, tape: dict[int, str]) -> bool:
+        nonlocal lo, hi, snapshot
+        if state in halting:
+            return False
+        lo, hi = min(lo, head), max(hi, head)
+        if hi - lo >= n or snapshot == (state, head, tape):
+            return True
+        if not steps & (steps - 1):
+            snapshot = (state, head, dict(tape))
         return False
-    allowed = set(m.input_alphabet)
-    return all(sym in allowed for sym in tape.values())
+
+    outcome = _simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, stop)
+    return outcome.kind is RunKind.HALTED_OUTPUT and outcome.space == n
 
 
 def space_measure() -> ResourceMeasure:
@@ -341,7 +329,6 @@ def usage_within_bound(
     any_defined = False
     violation: str | None = None
     for sigma in strings_up_to(m.input_alphabet, max_len):
-        outcome = run(m, sigma, fuel)
         value = measure.evaluate(m, sigma, fuel)
         evidence.append((sigma, value))
         if value is not None:
@@ -349,7 +336,7 @@ def usage_within_bound(
             if value > bound(len(sigma)):
                 violation = sigma
                 break
-        elif outcome.kind is RunKind.FUEL_EXHAUSTED:
+        elif run(m, sigma, fuel).kind is RunKind.FUEL_EXHAUSTED:
             unresolved = True
     if violation is not None:
         return BoundVerdict(BoundCheckKind.VIOLATES, witness=violation, evidence=tuple(evidence))

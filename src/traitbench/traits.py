@@ -523,6 +523,9 @@ def halting_decider_from_oracle(oracle: Callable[[int, str, int], int]) -> Calla
 # --- textual trait expressions ---------------------------------------------------
 
 
+MAX_TRAIT_DEPTH = 100
+
+
 def parse_trait(text: str) -> TraitExpr:
     """Parse 'states:3', 'not(E)', 'and(E,E)', 'or(E,E)' into a trait expression.
 
@@ -533,15 +536,22 @@ def parse_trait(text: str) -> TraitExpr:
       time-within:<bound>:<max_len>:<fuel>
       space-within:<bound>:<max_len>:<fuel>
     Leaves may omit their bound arguments to inherit the evaluation bounds.
+    Combinators nest at most MAX_TRAIT_DEPTH deep; deeper text raises ValueError.
     """
+    return _parse_trait(text, 0)
+
+
+def _parse_trait(text: str, depth: int) -> TraitExpr:
+    if depth > MAX_TRAIT_DEPTH:
+        raise ValueError(f"trait expression nests deeper than {MAX_TRAIT_DEPTH} combinators")
     text = text.strip()
     for tag, node in (("not", TraitComplement), ("and", TraitIntersection), ("or", TraitUnion)):
         if text.startswith(tag + "(") and text.endswith(")"):
             inner = text[len(tag) + 1 : -1]
             if tag == "not":
-                return TraitComplement(parse_trait(inner))
+                return TraitComplement(_parse_trait(inner, depth + 1))
             left, right = _split_top_level(inner)
-            return node(parse_trait(left), parse_trait(right))
+            return node(_parse_trait(left, depth + 1), _parse_trait(right, depth + 1))
     return _parse_leaf(text)
 
 

@@ -51,6 +51,13 @@ class TestRunAndTrace:
         assert "output=ab" in out
         assert "steps=1" in out
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_negative_fuel_exits_one(self, machine_file, echo, command, capsys):
+        assert main([command, "--machine", machine_file(echo), "--input", "ab", "--fuel", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_trace_prints_each_configuration(self, machine_file, eraser, capsys):
         assert main(["trace", "--machine", machine_file(eraser), "--input", "ab"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -170,6 +177,11 @@ class TestTraitCommands:
     def test_bad_trait_name_exits_one(self, machine_file, echo, capsys):
         assert main(["trait", "--name", "bogus:3", "--machine", machine_file(echo)]) == 1
 
+    def test_deeply_nested_trait_exits_one(self, machine_file, echo, capsys):
+        name = "not(" * 3000 + "states:3" + ")" * 3000
+        assert main(["trait", "--name", name, "--machine", machine_file(echo)]) == 1
+        assert "nests deeper" in capsys.readouterr().err
+
     def test_partition_prints_part_sizes(self, capsys):
         code = main(
             ["partition", "--name", "states:3", "--max-index", "30", "--probes", "1", "--max-len", "1", "--fuel", "50"]
@@ -207,6 +219,17 @@ class TestContain:
         assert sum("condition=trace" in line for line in lines) == 3
 
 
+    @pytest.mark.parametrize(
+        "policy",
+        [{"unclassified_regex": "a*"}, {"classified": "bb"}, {"classified": [1]}, {"classified": ["bb"], "unclassified_regex": "("}],
+    )
+    def test_invalid_policy_exits_one(self, machine_file, echo, tmp_path, policy, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(policy))
+        assert main(["contain", "--machine", machine_file(echo), "--policy", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestReportDeterminism:
     def test_blum_check_report_is_stable(self, tmp_path):
         outs = []
@@ -218,6 +241,8 @@ class TestReportDeterminism:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+        header = json.loads(outs[0].decode("utf-8").splitlines()[0].removeprefix("# "))
+        assert "seed" not in header["config"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

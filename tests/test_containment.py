@@ -37,6 +37,27 @@ class TestPolicy:
         assert policy.unclassified("aaa")
         assert not policy.unclassified("ab")
 
+    def test_from_dict_rejects_a_missing_classified_list(self):
+        with pytest.raises(ValueError, match="classified"):
+            policy_from_dict({"unclassified_regex": "a*"})
+        with pytest.raises(ValueError, match="classified"):
+            policy_from_dict(["bb"])
+
+    def test_from_dict_rejects_a_string_in_place_of_the_list(self):
+        # A bare string used to be split into its characters.
+        with pytest.raises(ValueError, match="list"):
+            policy_from_dict({"classified": "bb"})
+
+    def test_from_dict_rejects_entries_that_are_not_nonempty_strings(self):
+        for entry in (1, None, ["bb"], ""):
+            with pytest.raises(ValueError):
+                policy_from_dict({"classified": ["bb", entry]})
+
+    def test_from_dict_rejects_an_invalid_regex(self):
+        for pattern in ("(", 5):
+            with pytest.raises(ValueError, match="unclassified_regex"):
+                policy_from_dict({"classified": ["bb"], "unclassified_regex": pattern})
+
     def test_load_policy_round_trip(self, tmp_path):
         path = tmp_path / "policy.json"
         path.write_text(json.dumps({"classified": ["bb"]}))

@@ -119,6 +119,14 @@ class TestTrace:
         assert configs[0].head == 0
         assert configs[-1].state == eraser.accept_state
 
+    def test_rejects_negative_fuel(self, echo):
+        with pytest.raises(MachineError):
+            trace(echo, "a", -1)
+
+    def test_zero_fuel_gives_the_start_configuration_only(self, eraser):
+        configs = trace(eraser, "ab", 0)
+        assert [(c.state, c.head, dict(c.tape)) for c in configs] == [(eraser.start_state, 0, {1: "a", 2: "b"})]
+
     def test_render_tape_shows_contiguous_nonblank_extent(self, eraser):
         configs = trace(eraser, "ab", 100)
         assert render_tape(configs[0]) == "ab"

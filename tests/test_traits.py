@@ -8,6 +8,7 @@ from traitbench.enumeration import decode
 from traitbench.machine import EquivKind, equiv_bounded
 from traitbench.measures import parse_bound, time_measure
 from traitbench.traits import (
+    MAX_TRAIT_DEPTH,
     Bounds,
     DeclaredKind,
     Verdict,
@@ -144,6 +145,16 @@ class TestParseTrait:
     def test_baked_bounds_in_leaf_text(self, looper):
         expr = parse_trait("total-nonempty:1:10")
         assert eval_trait(expr, looper, Bounds(3, 10_000)) is UNKNOWN
+
+    def test_nesting_depth_is_capped(self):
+        def nested(depth):
+            return "not(" * depth + "states:3" + ")" * depth
+
+        assert expr_name(parse_trait(nested(MAX_TRAIT_DEPTH))) == nested(MAX_TRAIT_DEPTH)
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_trait(nested(MAX_TRAIT_DEPTH + 1))
+        with pytest.raises(ValueError, match="nests deeper"):
+            parse_trait(nested(3000))
 
     def test_garbage_rejected(self):
         for text in ("", "states", "states:x", "nand(states:3,states:4)", "and(states:3", "frobnicate"):
