@@ -31,7 +31,6 @@ from .machine import (
 )
 from .fixtures import all_fixtures, echo, eraser, load_fixture, looper, marker
 from .enumeration import (
-    IndexSetQuery,
     IndexSetResult,
     decode,
     encode,

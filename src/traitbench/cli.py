@@ -14,16 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .containment import containment_check, load_policy
-from .enumeration import (
-    IndexSetQuery,
-    decode,
-    encode,
-    index_set_bounded,
-    machines_up_to,
-    pair,
-    unpair,
-    validate_range,
-)
+from .enumeration import decode, encode, index_set_bounded, pair, unpair
 from .machine import (
     MachineDescription,
     MachineError,
@@ -114,8 +105,8 @@ def cmd_enumerate(args) -> int:
         print(f"{a} {b}")
         return 0
     if args.reference is not None:
-        query = IndexSetQuery(_load_machine(args.reference), args.max, args.max_len, args.fuel)
-        result = index_set_bounded(query)
+        # --max counts indices; the library bound is the last index, inclusive.
+        result = index_set_bounded(_load_machine(args.reference), args.max - 1, args.max_len, args.fuel)
         _emit(args, result.rows(), ["index", "verdict", "witness"])
         if args.out:
             print(f"agree={len(result.agree)} inconclusive={len(result.inconclusive)} differ={len(result.differ)}")
@@ -123,11 +114,13 @@ def cmd_enumerate(args) -> int:
     if args.show is not None:
         print(format_machine(decode(args.show)), end="")
         return 0
-    count = validate_range(args.max)
+    indices = range(args.max)
+    for n in indices:
+        decode(n)
     if args.out:
-        rows = [{"index": n, "verdict": "valid", "witness": ""} for n in range(count)]
+        rows = [{"index": n, "verdict": "valid", "witness": ""} for n in indices]
         write_report(args.out, rows, ["index", "verdict", "witness"], args.format, _report_config(args))
-    print(f"{count} machines valid")
+    print(f"{len(indices)} machines valid")
     return 0
 
 
@@ -197,7 +190,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_blum_check(args) -> int:
-    machines = dict(machines_up_to(args.max_index))
+    machines = {n: decode(n) for n in range(args.max_index)}
     measure = MEASURES[args.measure]()
     report = check_blum_axioms(
         measure,
@@ -313,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="decode, validate, or sweep the machine index space")
     p.add_argument("--max", type=int, default=1000, help="number of indices to cover")
-    p.add_argument("--validate", action="store_true", help="decode and validate indices 0..max-1")
-    p.add_argument("--show", type=int, help="print the machine at one index")
-    p.add_argument("--reference", help="machine file; partition indices by bounded equivalence with it")
-    p.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
-    p.add_argument("--unpair", type=int, help="print the two naturals a code pairs")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--validate", action="store_true", help="decode and validate indices 0..max-1 (the default)")
+    mode.add_argument("--show", type=int, help="print the machine at one index")
+    mode.add_argument("--reference", help="machine file; partition indices 0..max-1 by bounded equivalence with it")
+    mode.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
+    mode.add_argument("--unpair", type=int, help="print the two naturals a code pairs")
     p.add_argument("--max-len", type=int, default=2)
     p.add_argument("--fuel", type=int, default=100)
     _add_report_flags(p)

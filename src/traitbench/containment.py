@@ -21,13 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .machine import (
-    MachineDescription,
-    RunKind,
-    render_tape,
-    run,
-    trace,
-)
+from .machine import MachineDescription, _classify_tape, render_tape, trace
 
 
 @dataclass(frozen=True)
@@ -154,11 +148,15 @@ def containment_check(
                 if chi not in found and chi in rendering:
                     trace_violations.append(TraceViolation(sigma, step_index, chi, rendering))
                     found.add(chi)
-        outcome = run(m, sigma, fuel)
-        if outcome.kind is RunKind.FUEL_EXHAUSTED:
+        # The trace ends on the halting configuration, or on the last one the
+        # fuel reached; its tape is the tape the run's output is read from.
+        last = configs[-1]
+        if last.state not in m.halting_states:
             unresolved.append(sigma)
-        elif outcome.kind is RunKind.HALTED_OUTPUT and not policy.unclassified(outcome.output or ""):
-            output_violations.append(OutputViolation(sigma, outcome.output or ""))
+            continue
+        output, _ = _classify_tape(m, last.tape)
+        if output is not None and not policy.unclassified(output):
+            output_violations.append(OutputViolation(sigma, output))
     if trace_violations or output_violations:
         verdict = ContainmentVerdict.VIOLATED
     elif unresolved:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable
 
 from .machine import (
     LEFT,
@@ -205,16 +204,6 @@ def encode(m: MachineDescription) -> int:
 
 
 @dataclass(frozen=True)
-class IndexSetQuery:
-    """A bounded sweep: compare every index up to max_index against a reference."""
-
-    reference: MachineDescription
-    max_index: int
-    max_len: int
-    fuel: int
-
-
-@dataclass(frozen=True)
 class IndexSetResult:
     agree: tuple[int, ...]
     inconclusive: tuple[int, ...]
@@ -231,24 +220,23 @@ class IndexSetResult:
         return [{"index": n, "verdict": verdicts[n], "witness": ""} for n in sorted(verdicts)]
 
 
-def index_set_bounded(query: IndexSetQuery) -> IndexSetResult:
-    """Partition indices 0..max_index by bounded equivalence with the reference.
+def index_set_bounded(reference: MachineDescription, max_index: int, max_len: int, fuel: int) -> IndexSetResult:
+    """Partition indices 0..max_index, inclusive, by bounded equivalence with the reference.
 
     Machines whose input alphabet differs from the reference's are counted as
     differing outright: the sweep compares behaviour on the reference's own
     input strings, which such machines cannot even be run on.
     """
-    reference = query.reference
     ref_sigma = set(reference.input_alphabet)
     agree: list[int] = []
     inconclusive: list[int] = []
     differ: list[int] = []
-    for n in range(query.max_index + 1):
+    for n in range(max_index + 1):
         candidate = decode(n)
         if set(candidate.input_alphabet) != ref_sigma:
             differ.append(n)
             continue
-        verdict = equiv_bounded(candidate, reference, query.max_len, query.fuel)
+        verdict = equiv_bounded(candidate, reference, max_len, fuel)
         if verdict.kind is EquivKind.AGREE:
             agree.append(n)
         elif verdict.kind is EquivKind.INCONCLUSIVE:
@@ -256,17 +244,3 @@ def index_set_bounded(query: IndexSetQuery) -> IndexSetResult:
         else:
             differ.append(n)
     return IndexSetResult(tuple(agree), tuple(inconclusive), tuple(differ))
-
-
-def validate_range(max_index: int) -> int:
-    """Decode indices 0..max_index-1, letting invariant checks run; returns the count."""
-    count = 0
-    for n in range(max_index):
-        decode(n)
-        count += 1
-    return count
-
-
-def machines_up_to(max_index: int) -> Iterable[tuple[int, MachineDescription]]:
-    for n in range(max_index):
-        yield n, decode(n)

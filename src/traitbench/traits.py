@@ -142,13 +142,19 @@ TraitExpr = object  # TraitDef | TraitUnion | TraitIntersection | TraitComplemen
 
 
 def eval_trait(expr: TraitExpr, m: MachineDescription, bounds: Bounds) -> Verdict:
-    """Evaluate a trait expression on a machine under exploration bounds."""
+    """Evaluate a trait expression on a machine under exploration bounds.
+
+    The right side of a union is skipped once the left is In, and that of an
+    intersection once the left is Out: the Kleene result is already fixed.
+    """
     if isinstance(expr, TraitDef):
         return expr.evaluator(m, bounds)
     if isinstance(expr, TraitUnion):
-        return kleene_or(eval_trait(expr.left, m, bounds), eval_trait(expr.right, m, bounds))
+        left = eval_trait(expr.left, m, bounds)
+        return left if left is Verdict.IN else kleene_or(left, eval_trait(expr.right, m, bounds))
     if isinstance(expr, TraitIntersection):
-        return kleene_and(eval_trait(expr.left, m, bounds), eval_trait(expr.right, m, bounds))
+        left = eval_trait(expr.left, m, bounds)
+        return left if left is Verdict.OUT else kleene_and(left, eval_trait(expr.right, m, bounds))
     if isinstance(expr, TraitComplement):
         return kleene_not(eval_trait(expr.inner, m, bounds))
     raise TypeError(f"not a trait expression: {expr!r}")
@@ -178,6 +184,29 @@ def state_count_trait(n: int) -> TraitDef:
     return TraitDef(f"states:{n}", evaluator, DeclaredKind.SYNTACTIC)
 
 
+def _leaf(
+    name: str,
+    kind: DeclaredKind,
+    max_len: int | None,
+    fuel: int | None,
+    decide: Callable[[MachineDescription, int, int], Verdict],
+) -> TraitDef:
+    """A leaf that calls decide(m, max_len, fuel) under its own bounds where given.
+
+    A given max_len or fuel overrides the evaluation bounds, and a given
+    max_len puts the ':max_len:fuel' suffix on the name. A negative override
+    raises ValueError here, when the leaf is built, not when it is evaluated.
+    """
+    if (max_len is not None and max_len < 0) or (fuel is not None and fuel < 0):
+        raise ValueError("leaf bounds must be nonnegative")
+
+    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
+        return decide(m, bounds.max_len if max_len is None else max_len, bounds.fuel if fuel is None else fuel)
+
+    suffix = "" if max_len is None else f":{max_len}:{fuel}"
+    return TraitDef(name + suffix, evaluator, kind)
+
+
 def total_on_nonempty_trait(max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Machines that halt with output on every nonempty tested input.
 
@@ -188,22 +217,26 @@ def total_on_nonempty_trait(max_len: int | None = None, fuel: int | None = None)
     verdict Unknown.
     """
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
-        limit = Bounds(max_len if max_len is not None else bounds.max_len,
-                       fuel if fuel is not None else bounds.fuel)
+    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
         unknown = False
-        for sigma in strings_up_to(m.input_alphabet, limit.max_len):
+        for sigma in strings_up_to(m.input_alphabet, max_len):
             if not sigma:
                 continue
-            outcome = run(m, sigma, limit.fuel)
+            outcome = run(m, sigma, fuel)
             if outcome.kind is RunKind.HALTED_UNDEFINED:
                 return Verdict.OUT
             if outcome.kind is RunKind.FUEL_EXHAUSTED:
                 unknown = True
         return Verdict.UNKNOWN if unknown else Verdict.IN
 
-    suffix = "" if max_len is None else f":{max_len}:{fuel}"
-    return TraitDef(f"total-nonempty{suffix}", evaluator, DeclaredKind.SEMANTIC)
+    return _leaf("total-nonempty", DeclaredKind.SEMANTIC, max_len, fuel, decide)
+
+
+_BOUND_VERDICTS = {
+    BoundCheckKind.IN_BOUNDS: Verdict.IN,
+    BoundCheckKind.VIOLATES: Verdict.OUT,
+    BoundCheckKind.INCONCLUSIVE: Verdict.UNKNOWN,
+}
 
 
 def usage_bounded_trait(
@@ -219,46 +252,27 @@ def usage_bounded_trait(
     cannot be a function of behaviour alone.
     """
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
-        verdict = usage_within_bound(
-            m,
-            measure,
-            bound,
-            max_len if max_len is not None else bounds.max_len,
-            fuel if fuel is not None else bounds.fuel,
-        )
-        if verdict.kind is BoundCheckKind.IN_BOUNDS:
-            return Verdict.IN
-        if verdict.kind is BoundCheckKind.VIOLATES:
-            return Verdict.OUT
-        return Verdict.UNKNOWN
+    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
+        return _BOUND_VERDICTS[usage_within_bound(m, measure, bound, max_len, fuel).kind]
 
-    suffix = "" if max_len is None else f":{max_len}:{fuel}"
-    return TraitDef(
-        f"{measure.name}-within:{bound.describe()}{suffix}",
-        evaluator,
-        DeclaredKind.SYNTACTIC,
-    )
+    return _leaf(f"{measure.name}-within:{bound.describe()}", DeclaredKind.SYNTACTIC, max_len, fuel, decide)
+
+
+_CONTAINMENT_VERDICTS = {
+    ContainmentVerdict.CONTAINED: Verdict.IN,
+    ContainmentVerdict.VIOLATED: Verdict.OUT,
+    ContainmentVerdict.INCONCLUSIVE: Verdict.UNKNOWN,
+}
 
 
 def contained_trait(policy: ContainmentPolicy, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Machines whose traces and outputs respect a containment policy."""
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
-        report = containment_check(
-            m,
-            policy,
-            strings_up_to(m.input_alphabet, max_len if max_len is not None else bounds.max_len),
-            fuel if fuel is not None else bounds.fuel,
-        )
-        if report.verdict is ContainmentVerdict.CONTAINED:
-            return Verdict.IN
-        if report.verdict is ContainmentVerdict.VIOLATED:
-            return Verdict.OUT
-        return Verdict.UNKNOWN
+    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
+        report = containment_check(m, policy, strings_up_to(m.input_alphabet, max_len), fuel)
+        return _CONTAINMENT_VERDICTS[report.verdict]
 
-    suffix = "" if max_len is None else f":{max_len}:{fuel}"
-    return TraitDef(f"contained{suffix}", evaluator, DeclaredKind.SYNTACTIC)
+    return _leaf("contained", DeclaredKind.SYNTACTIC, max_len, fuel, decide)
 
 
 @dataclass(frozen=True)
@@ -278,19 +292,16 @@ class FunctionProperty:
 def behavior_trait(prop: FunctionProperty, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Lift a function property to a trait by sampling runs up to the bounds."""
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
-        limit = Bounds(max_len if max_len is not None else bounds.max_len,
-                       fuel if fuel is not None else bounds.fuel)
+    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
         samples = []
-        for sigma in strings_up_to(m.input_alphabet, limit.max_len):
-            outcome = run(m, sigma, limit.fuel)
+        for sigma in strings_up_to(m.input_alphabet, max_len):
+            outcome = run(m, sigma, fuel)
             if outcome.kind is RunKind.FUEL_EXHAUSTED:
                 return Verdict.UNKNOWN
             samples.append((sigma, outcome))
         return Verdict.IN if prop.predicate(tuple(samples)) else Verdict.OUT
 
-    suffix = "" if max_len is None else f":{max_len}:{fuel}"
-    return TraitDef(f"{prop.name}{suffix}", evaluator, DeclaredKind.SEMANTIC)
+    return _leaf(prop.name, DeclaredKind.SEMANTIC, max_len, fuel, decide)
 
 
 def _echoes(samples: tuple[tuple[str, RunOutcome], ...]) -> bool:
@@ -340,6 +351,17 @@ def probe_semanticity(
     """
     if eval_trait(trait, m, bounds) is not Verdict.IN:
         raise ValueError("semanticity probing starts from a machine the trait contains")
+    return _probe_variants(trait, m, probes, bounds, kinds)
+
+
+def _probe_variants(
+    trait: TraitExpr,
+    m: MachineDescription,
+    probes: int,
+    bounds: Bounds,
+    kinds: tuple[str, ...],
+) -> ProbeResult:
+    """The variant loop of probe_semanticity, for an m already evaluated In."""
     usable = [kind for kind in kinds if kind != "leak" or m.input_alphabet]
     if not usable:
         raise ValueError("no applicable probe kinds for this machine")
@@ -416,7 +438,7 @@ def sem_syn_partition(
         m = decode(n)
         if eval_trait(trait, m, bounds) is not Verdict.IN:
             continue
-        result = probe_semanticity(trait, m, probes, bounds, kinds)
+        result = _probe_variants(trait, m, probes, bounds, kinds)
         if result.found:
             syn.append(n)
             witness_kinds[n] = result.witness_kind or ""

@@ -12,7 +12,7 @@ the index bijection covers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE, encode
 from .machine import BLANK, LEFT, RIGHT, MachineDescription, Rule
@@ -26,16 +26,7 @@ def pad(m: MachineDescription, k: int) -> MachineDescription:
     for q in range(m.state_count, m.state_count + k):
         for sym in m.tape_alphabet:
             rules.append((q, sym, q, sym, RIGHT))
-    return MachineDescription(
-        state_count=m.state_count + k,
-        start_state=m.start_state,
-        accept_state=m.accept_state,
-        reject_state=m.reject_state,
-        input_alphabet=m.input_alphabet,
-        tape_alphabet=m.tape_alphabet,
-        blank=m.blank,
-        transitions=tuple(rules),
-    )
+    return replace(m, state_count=m.state_count + k, transitions=tuple(rules))
 
 
 def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
@@ -56,16 +47,7 @@ def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
         move = LEFT if i < d // 2 else RIGHT
         for sym in m.tape_alphabet:
             rules.append((state, sym, target, sym, move))
-    return MachineDescription(
-        state_count=base + d,
-        start_state=base,
-        accept_state=m.accept_state,
-        reject_state=m.reject_state,
-        input_alphabet=m.input_alphabet,
-        tape_alphabet=m.tape_alphabet,
-        blank=m.blank,
-        transitions=tuple(rules),
-    )
+    return replace(m, state_count=base + d, start_state=base, transitions=tuple(rules))
 
 
 def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
@@ -130,14 +112,11 @@ def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
             rules.append((ret, sym, ret, sym, LEFT))
     everywhere(ret_bounce, lambda sym: (m.start_state, sym, RIGHT))
 
-    return MachineDescription(
+    return replace(
+        m,
         state_count=base + 2 * k + 4,
         start_state=seek_start,
-        accept_state=m.accept_state,
-        reject_state=m.reject_state,
-        input_alphabet=m.input_alphabet,
         tape_alphabet=tape_alphabet,
-        blank=m.blank,
         transitions=tuple(rules),
     )
 

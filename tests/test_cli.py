@@ -104,7 +104,17 @@ class TestEnumerate:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "index,verdict,witness"
-        assert len(lines) == 2 + 21  # header, columns, indices 0..20
+        assert len(lines) == 2 + 20  # header, columns, indices 0..19
+
+    @pytest.mark.parametrize(
+        "modes",
+        [["--pair", "1", "2", "--show", "3"], ["--validate", "--reference", "m.tm"], ["--show", "1", "--unpair", "5"]],
+    )
+    def test_modes_are_mutually_exclusive(self, modes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", *modes])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestTransformCommands:
@@ -176,6 +186,11 @@ class TestTraitCommands:
 
     def test_bad_trait_name_exits_one(self, machine_file, echo, capsys):
         assert main(["trait", "--name", "bogus:3", "--machine", machine_file(echo)]) == 1
+
+    @pytest.mark.parametrize("name", ["time-within:n:-1:5", "total-nonempty:-1:5", "and(states:4,echoes:2:-1)"])
+    def test_negative_leaf_bounds_exit_one(self, machine_file, echo, name, capsys):
+        assert main(["trait", "--name", name, "--machine", machine_file(echo)]) == 1
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_deeply_nested_trait_exits_one(self, machine_file, echo, capsys):
         name = "not(" * 3000 + "states:3" + ")" * 3000

@@ -3,15 +3,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traitbench.containment import (
     ContainmentPolicy,
     ContainmentVerdict,
+    OutputViolation,
     containment_check,
     load_policy,
     policy_from_dict,
 )
+from traitbench.machine import run, strings_up_to
 from traitbench.transforms import leaky_wrap
+from util import canonical_machines
 
 POLICY = ContainmentPolicy(classified=("bb",))
 INPUTS = ("a", "ab", "ba")
@@ -120,3 +125,44 @@ class TestContainmentCheck:
         # contained under any policy its tape never spells out.
         report = containment_check(eraser, POLICY, INPUTS, fuel=200)
         assert report.verdict is ContainmentVerdict.CONTAINED
+
+
+class TestOutcomesAgreeWithRun:
+    """containment_check reads each outcome off its trace; run is the reference."""
+
+    POLICY = ContainmentPolicy(classified=("a",))
+
+    def expected(self, m, inputs, fuel):
+        outcomes = {sigma: run(m, sigma, fuel) for sigma in sorted(inputs)}
+        unresolved = tuple(sigma for sigma, o in outcomes.items() if not o.halted)
+        violations = tuple(
+            OutputViolation(sigma, o.output)
+            for sigma, o in outcomes.items()
+            if o.defined and not self.POLICY.unclassified(o.output)
+        )
+        return unresolved, violations
+
+    @given(canonical_machines(max_states=4, max_sigma=2, max_extras=1), st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_unresolved_inputs_and_output_violations(self, m, fuel):
+        inputs = list(strings_up_to(m.input_alphabet, 2))
+        report = containment_check(m, self.POLICY, inputs, fuel)
+        assert (report.unresolved_inputs, report.output_violations) == self.expected(m, inputs, fuel)
+
+    @given(canonical_machines(max_states=4, max_sigma=2, max_extras=1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_halt_on_the_last_unit_of_fuel_is_resolved(self, m):
+        for sigma in strings_up_to(m.input_alphabet, 2):
+            steps = run(m, sigma, 50).steps
+            for fuel in (steps, steps - 1) if steps else (0,):
+                report = containment_check(m, self.POLICY, [sigma], fuel)
+                assert (report.unresolved_inputs, report.output_violations) == self.expected(m, [sigma], fuel)
+
+    def test_marker_halting_exactly_at_the_fuel(self, marker):
+        steps = run(marker, "b", 100).steps
+        at_fuel = containment_check(marker, self.POLICY, ["b"], steps)
+        assert at_fuel.unresolved_inputs == ()
+        assert at_fuel.output_violations == (OutputViolation("b", "ab"),)
+        short = containment_check(marker, self.POLICY, ["b"], steps - 1)
+        assert short.unresolved_inputs == ("b",)
+        assert short.output_violations == ()

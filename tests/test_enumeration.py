@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.enumeration import (
-    IndexSetQuery,
-    decode,
-    encode,
-    index_set_bounded,
-    is_canonical,
-    machines_up_to,
-    pair,
-    unpair,
-    validate_range,
-)
+from traitbench.enumeration import decode, encode, index_set_bounded, is_canonical, pair, unpair
 from traitbench.machine import EquivKind, equiv_bounded
 from util import canonical_machines, random_canonical_machine
 
@@ -73,7 +63,7 @@ class TestDecode:
         assert decode(144).state_count == 4
         shapes = {
             (m.state_count, len(m.input_alphabet), len(m.tape_alphabet))
-            for _, m in machines_up_to(5000)
+            for m in map(decode, range(5000))
         }
         assert shapes == {(3, 1, 2), (4, 1, 2)}
 
@@ -105,21 +95,10 @@ class TestEncode:
             encode(pad(echo, 1))
 
 
-class TestValidateRange:
-    def test_counts_every_index_once(self):
-        assert validate_range(500) == 500
-
-    def test_machines_up_to_yields_indices_in_order(self):
-        pairs = list(machines_up_to(50))
-        assert [n for n, _ in pairs] == list(range(50))
-        assert all(encode(m) == n for n, m in pairs)
-
-
 class TestIndexSet:
     def test_buckets_match_direct_pairwise_comparison(self):
         reference = decode(37)
-        query = IndexSetQuery(reference, max_index=60, max_len=1, fuel=60)
-        result = index_set_bounded(query)
+        result = index_set_bounded(reference, max_index=60, max_len=1, fuel=60)
         for n in range(61):
             verdict = equiv_bounded(reference, decode(n), 1, 60).kind
             expected = {
@@ -133,24 +112,24 @@ class TestIndexSet:
         # decode(48) halts on its first step whatever it reads, so the sweep
         # settles every comparison against itself.
         reference = decode(48)
-        result = index_set_bounded(IndexSetQuery(reference, 60, 1, 60))
+        result = index_set_bounded(reference, 60, 1, 60)
         assert 48 in result.agree
 
     def test_looping_reference_is_inconclusive_even_against_itself(self):
         # decode(16) runs right forever on the empty input; a bounded sweep
         # can never certify agreement, only fail to separate.
-        result = index_set_bounded(IndexSetQuery(decode(16), 20, 1, 60))
+        result = index_set_bounded(decode(16), 20, 1, 60)
         assert 16 in result.inconclusive
 
     def test_alphabet_mismatch_counts_as_differ(self, echo):
         # Indices below 144 all use a one-letter input alphabet; echo uses
         # two letters, so none of them can agree with it.
-        result = index_set_bounded(IndexSetQuery(echo, 10, 1, 60))
+        result = index_set_bounded(echo, 10, 1, 60)
         assert result.differ == tuple(range(11))
         assert not result.agree and not result.inconclusive
 
     def test_rows_cover_zero_through_max_index_inclusive(self):
-        result = index_set_bounded(IndexSetQuery(decode(0), 15, 1, 40))
+        result = index_set_bounded(decode(0), 15, 1, 40)
         rows = result.rows()
         assert [r["index"] for r in rows] == list(range(16))
         assert all(r["verdict"] in {"agree", "inconclusive", "differ"} for r in rows)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
 from traitbench.machine import EquivKind, equiv_bounded
 from traitbench.measures import parse_bound, time_measure
@@ -11,9 +12,14 @@ from traitbench.traits import (
     MAX_TRAIT_DEPTH,
     Bounds,
     DeclaredKind,
+    TraitComplement,
+    TraitDef,
+    TraitIntersection,
+    TraitUnion,
     Verdict,
     behavior_trait,
     build_halting_oracle,
+    contained_trait,
     echoes_input_trait,
     eval_trait,
     expr_name,
@@ -30,6 +36,7 @@ from traitbench.traits import (
     total_on_nonempty_trait,
     usage_bounded_trait,
 )
+from util import canonical_machines
 
 IN, OUT, UNKNOWN = Verdict.IN, Verdict.OUT, Verdict.UNKNOWN
 BOUNDS = Bounds(max_len=2, fuel=100)
@@ -107,6 +114,28 @@ class TestLeafTraits:
         assert eval_trait(behavior_trait(always_outputs_a), marker, BOUNDS) is IN
 
 
+CHEAP_LEAVES = (
+    state_count_trait(3),
+    state_count_trait(4),
+    total_on_nonempty_trait(),
+    echoes_input_trait(1, 8),
+    usage_bounded_trait(time_measure(), parse_bound("n+2")),
+    TraitDef("in", lambda m, b: IN),
+    TraitDef("out", lambda m, b: OUT),
+    TraitDef("unknown", lambda m, b: UNKNOWN),
+)
+
+
+def full_kleene(expr, m, bounds):
+    """Evaluate every node, both sides of every combinator included."""
+    if isinstance(expr, TraitDef):
+        return expr.evaluator(m, bounds)
+    if isinstance(expr, TraitComplement):
+        return kleene_not(full_kleene(expr.inner, m, bounds))
+    left, right = full_kleene(expr.left, m, bounds), full_kleene(expr.right, m, bounds)
+    return kleene_or(left, right) if isinstance(expr, TraitUnion) else kleene_and(left, right)
+
+
 class TestExpressions:
     def test_operators_compose_verdicts(self, echo):
         three = state_count_trait(3)
@@ -120,6 +149,31 @@ class TestExpressions:
         total = total_on_nonempty_trait()
         assert eval_trait(three & total, looper, BOUNDS) is UNKNOWN
         assert eval_trait(~three | total, looper, BOUNDS) is UNKNOWN
+
+    def test_decided_left_side_skips_the_right(self, echo):
+        calls = []
+        right = TraitDef("right", lambda m, b: calls.append(m) or UNKNOWN)
+        assert eval_trait(state_count_trait(4) & right, echo, BOUNDS) is OUT
+        assert eval_trait(state_count_trait(3) | right, echo, BOUNDS) is IN
+        assert calls == []
+        assert eval_trait(state_count_trait(3) & right, echo, BOUNDS) is UNKNOWN
+        assert calls == [echo]
+
+    @given(
+        st.recursive(
+            st.sampled_from(CHEAP_LEAVES),
+            lambda inner: st.one_of(
+                st.builds(TraitUnion, inner, inner),
+                st.builds(TraitIntersection, inner, inner),
+                st.builds(TraitComplement, inner),
+            ),
+            max_leaves=8,
+        ),
+        canonical_machines(max_states=4, max_sigma=2, max_extras=1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_short_circuit_agrees_with_full_kleene_evaluation(self, expr, m):
+        assert eval_trait(expr, m, Bounds(1, 20)) is full_kleene(expr, m, Bounds(1, 20))
 
     def test_expression_names_are_readable(self):
         expr = state_count_trait(3) & ~state_count_trait(4)
@@ -145,6 +199,31 @@ class TestParseTrait:
     def test_baked_bounds_in_leaf_text(self, looper):
         expr = parse_trait("total-nonempty:1:10")
         assert eval_trait(expr, looper, Bounds(3, 10_000)) is UNKNOWN
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "total-nonempty:-1:5",
+            "total-nonempty:1:-5",
+            "echoes:-1:5",
+            "echoes:1:-5",
+            "time-within:n:-1:5",
+            "time-within:n:1:-5",
+            "space-within:n:-1:5",
+            "space-within:n:1:-5",
+            "and(states:4,total-nonempty:-1:5)",
+        ],
+    )
+    def test_negative_leaf_bounds_are_rejected_when_parsed(self, text):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_trait(text)
+
+    def test_negative_leaf_bounds_are_rejected_for_unparsed_leaves(self):
+        prop = FunctionProperty("any", lambda samples: True)
+        with pytest.raises(ValueError, match="nonnegative"):
+            contained_trait(ContainmentPolicy(("bb",)), -1, 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            behavior_trait(prop, 1, -5)
 
     def test_nesting_depth_is_capped(self):
         def nested(depth):
@@ -198,6 +277,18 @@ class TestPartition:
         assert partition.syn == tuple(range(60))
         rows = partition.rows()
         assert all(r["part"] == "syn" and r["witness_kind"] == "pad" for r in rows)
+
+    def test_each_index_is_evaluated_once_then_each_variant_once(self):
+        # Indices 140..143 have 3 states and 144..149 have 4; delay variants
+        # have 5, 7 and 9, so only the 3-state indices are members and every
+        # one of their variants stays In.
+        seen = []
+        trait = TraitDef("not-four", lambda m, b: seen.append(m) or (OUT if m.state_count == 4 else IN))
+        partition = sem_syn_partition(trait, range(140, 150), probes=3, bounds=BOUNDS, kinds=("delay",))
+        assert partition.unknown == (140, 141, 142, 143)
+        originals = [decode(n) for n in range(140, 150)]
+        assert [seen.count(m) for m in originals] == [1] * 10
+        assert len(seen) == 10 + 4 * 3
 
     def test_nonmembers_are_left_out_of_every_part(self):
         partition = sem_syn_partition(state_count_trait(4), range(20), probes=2, bounds=Bounds(1, 60))
