@@ -272,6 +272,17 @@ def cmd_contain(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: a negative count is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported like a negative count
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write a report file instead of printing rows")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="report file format")
@@ -299,20 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two machines on all inputs up to a length")
     p.add_argument("--machine", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_count, default=3)
     p.add_argument("--fuel", type=int, default=1000)
     _add_report_flags(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("enumerate", help="decode, validate, or sweep the machine index space")
-    p.add_argument("--max", type=int, default=1000, help="number of indices to cover")
+    p.add_argument("--max", type=_count, default=1000, help="number of indices to cover")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--validate", action="store_true", help="decode and validate indices 0..max-1 (the default)")
     mode.add_argument("--show", type=int, help="print the machine at one index")
     mode.add_argument("--reference", help="machine file; partition indices 0..max-1 by bounded equivalence with it")
     mode.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
     mode.add_argument("--unpair", type=int, help="print the two naturals a code pairs")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=100)
     _add_report_flags(p)
     p.set_defaults(func=cmd_enumerate)
@@ -351,15 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
     p.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
     p.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--trials", type=_count, default=5)
+    p.add_argument("--max-len", type=_count, default=3)
     _add_report_flags(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("blum-check", help="sweep decoded machines for measure axiom violations")
     p.add_argument("--measure", choices=sorted(MEASURES), default="time")
-    p.add_argument("--max-index", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-index", type=_count, default=200)
+    p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=500)
     _add_report_flags(p)
     p.set_defaults(func=cmd_blum_check)
@@ -367,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trait", help="evaluate a trait expression on a machine")
     p.add_argument("--name", required=True, help="e.g. states:3 or and(states:3,total-nonempty:2:50)")
     p.add_argument("--machine", required=True)
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=100)
     p.set_defaults(func=cmd_trait)
 
     p = sub.add_parser("partition", help="split a trait's members by semanticity probing")
     p.add_argument("--name", required=True)
-    p.add_argument("--max-index", type=int, default=200)
-    p.add_argument("--probes", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-index", type=_count, default=200)
+    p.add_argument("--probes", type=_count, default=3)
+    p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=100)
     _add_report_flags(p)
     p.set_defaults(func=cmd_partition)
@@ -383,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("patch-decider", help="decide a set from a decider for its union with a finite set")
     p.add_argument("--l1", required=True, help="comma-separated naturals forming the target set")
     p.add_argument("--l2", required=True, help="comma-separated naturals forming the finite patch")
-    p.add_argument("--universe-max", type=int, default=10)
+    p.add_argument("--universe-max", type=_count, default=10)
     _add_report_flags(p)
     p.set_defaults(func=cmd_patch_decider)
 
     p = sub.add_parser("prop3", help="wire a state-count-aware halting oracle into a halting decider")
-    p.add_argument("--max-index", type=int, default=144)
-    p.add_argument("--max-len", type=int, default=1)
+    p.add_argument("--max-index", type=_count, default=144)
+    p.add_argument("--max-len", type=_count, default=1)
     p.add_argument("--fuel", type=int, default=200)
     _add_report_flags(p)
     p.set_defaults(func=cmd_prop_wiring)
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True)
     p.add_argument("--policy", required=True, help="JSON file with classified strings")
     p.add_argument("--inputs", help="comma-separated inputs; defaults to all up to --max-len")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=500)
     _add_report_flags(p)
     p.set_defaults(func=cmd_contain)

@@ -37,6 +37,24 @@ class TestExitCodes:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["blum-check", "--max-index", "5", "--max-len", "-1", "--fuel", "10"],
+            ["blum-check", "--max-index", "-1"],
+            ["enumerate", "--max", "-3"],
+            ["partition", "--name", "states:3", "--probes", "-1"],
+            ["measure", "--machine", "m.tm", "--trials", "-2"],
+            ["patch-decider", "--l1", "1", "--l2", "2", "--universe-max", "-1"],
+            ["prop3", "--max-len", "x"],
+        ],
+    )
+    def test_negative_count_flags_exit_two(self, args, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+
     def test_domain_error_inside_a_command_exits_one(self, machine_file, echo, capsys):
         path = machine_file(echo)
         assert main(["delay", "--machine", path, "--d", "3", "--out", path + ".out"]) == 1

@@ -20,7 +20,7 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from util import canonical_machines
+from util import canonical_machines, reference_run
 
 
 class TestRun:
@@ -108,6 +108,76 @@ class TestRun:
         outcome = run(m, m.input_alphabet[0], fuel)
         assert 1 <= outcome.space <= outcome.steps + 1
         assert outcome.steps <= fuel
+
+
+def _machine(*rules: str) -> MachineDescription:
+    """Working states 0..2, accept 3, reject 4, input alphabet ab; missing rules reject."""
+    given = {rule.split(" -> ")[0] for rule in rules}
+    rest = [f"{q} {s} -> 4 {s} R" for q in range(3) for s in "ab_" if f"{q} {s}" not in given]
+    header = "states: 5\nstart: 0 accept: 3 reject: 4\ninput_alphabet: ab\ntape_alphabet: ab_\n"
+    return parse_machine(header + "".join(f"delta: {rule}\n" for rule in (*rules, *rest)))
+
+
+class TestCertifiedDivergence:
+    """run fast-forwards certified runs; each outcome must still be exact.
+
+    Each case is compared with the reference stepper, which steps to the
+    fuel, and the huge fuels would not return if the run were stepped.
+    """
+
+    @staticmethod
+    def assert_matches_reference(m, sigma):
+        for fuel in range(40):
+            _, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
+            outcome = run(m, sigma, fuel)
+            assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
+                kind, steps, space, output, reason
+            ), fuel
+
+    def test_left_runaway(self):
+        m = _machine("0 _ -> 1 _ L", "1 _ -> 0 a L")
+        for sigma in ("", "ab"):
+            self.assert_matches_reference(m, sigma)
+            outcome = run(m, sigma, 10**12)
+            assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12)
+
+    def test_right_runaway_crosses_its_input_first(self):
+        # The blank rule of state 0 runs away, but a 'b' on the input halts:
+        # the certificate must wait until the head is past the input.
+        m = _machine("0 _ -> 0 _ R", "0 a -> 0 a R", "0 b -> 3 b R")
+        halted = run(m, "ab", 10**12)
+        assert (halted.output, halted.steps) == ("ab", 3)
+        for sigma in ("", "a", "aa", "ab", "ba"):
+            self.assert_matches_reference(m, sigma)
+        outcome = run(m, "aa", 10**12)
+        assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12)
+
+    @pytest.mark.parametrize(
+        "rules, output",
+        [
+            # Writes two cells going right, then turns back and accepts: the
+            # blank chain from state 1 loops (1 -> 0 -> 1) but moves left.
+            (("0 _ -> 1 a R", "1 _ -> 0 a L", "0 a -> 3 a R"), "aa"),
+            # Moves outward through three fresh states, then halts.
+            (("0 _ -> 1 a R", "1 _ -> 2 a R", "2 _ -> 3 a R"), "aaa"),
+        ],
+    )
+    def test_blank_chain_that_turns_back_or_halts_is_not_certified(self, rules, output):
+        m = _machine(*rules)
+        assert run(m, "", 10**12).output == output
+        self.assert_matches_reference(m, "")
+
+    def test_cycle_after_a_preperiod(self):
+        # Walks over the input, then bounces between its last cell and the
+        # blank after it: preperiod 3 and period 2 on "aa", 4 cells scanned.
+        m = _machine("0 _ -> 1 _ R", "1 a -> 1 a R", "1 _ -> 2 _ L", "2 a -> 1 a R")
+        self.assert_matches_reference(m, "aa")
+        outcome = run(m, "aa", 10**12)
+        assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 4)
+
+    def test_looper_fast_forwards_to_a_huge_fuel(self, looper):
+        outcome = run(looper, "ab", 10**12)
+        assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12)
 
 
 class TestTrace:

@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite: seeded machine generators."""
+"""Shared helpers for the test suite: seeded machine generators and a reference stepper."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE
-from traitbench.machine import BLANK, MachineDescription
+from traitbench.machine import BLANK, MachineDescription, RunKind, UndefinedReason
 
 MOVES = ("L", "R")
 
@@ -46,3 +46,41 @@ def canonical_machines(draw, max_states: int = 6, max_sigma: int = 3, max_extras
     """Hypothesis strategy over canonical machines."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_canonical_machine(random.Random(seed), max_states, max_sigma, max_extras)
+
+
+def reference_configs(m, sigma):
+    """Every configuration (state, head, tape) of m on sigma, until it halts."""
+    rules = {(q, s): (q2, w, mv) for q, s, q2, w, mv in m.transitions}
+    tape = {i + 1: sym for i, sym in enumerate(sigma)}
+    state, head = m.start_state, 0
+    while True:
+        yield state, head, dict(tape)
+        if state in (m.accept_state, m.reject_state):
+            return
+        state, written, move = rules[(state, tape.get(head, m.blank))]
+        tape[head] = written
+        if written == m.blank:
+            del tape[head]
+        head += 1 if move == "R" else -1
+
+
+def reference_classify(m, tape):
+    if not tape:
+        return RunKind.HALTED_UNDEFINED, None, UndefinedReason.BLANK_TAPE
+    output = "".join(tape[c] for c in sorted(tape))
+    if any(sym not in m.input_alphabet for sym in output):
+        return RunKind.HALTED_UNDEFINED, None, UndefinedReason.NON_INPUT_SYMBOL
+    return RunKind.HALTED_OUTPUT, output, None
+
+
+def reference_run(m, sigma, fuel):
+    """(configurations, kind, steps, space, output, reason) of a fuel-bounded run."""
+    configs, visited = [], {0}
+    for steps, (state, head, tape) in enumerate(reference_configs(m, sigma)):
+        configs.append((state, head, tape))
+        if state in (m.accept_state, m.reject_state):
+            kind, output, reason = reference_classify(m, tape)
+            return configs, kind, steps, len(visited), output, reason
+        if steps == fuel:
+            return configs, RunKind.FUEL_EXHAUSTED, steps, len(visited), None, None
+        visited.add(head)
