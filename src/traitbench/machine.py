@@ -20,19 +20,25 @@ a true return stops the run as not halted. `run` is the core without a
 watch, `trace` is a watch that snapshots configurations, and the space
 measure's graph in `measures` is a watch that stops on a repeat.
 
-Without a watch the core also proves divergence with two certificates, as
-the cycler and translated-cycler deciders of the Busy Beaver Challenge do:
+Without a watch the core also proves divergence with three certificates:
 a runaway (the head is past everything written and the blank-reading rules
-only carry it further out) and an exact configuration repeat (Brent's cycle
-detection). A certified run is fast-forwarded: it returns the same
+only carry it further out), an exact configuration repeat (Brent's cycle
+detection, as the Busy Beaver Challenge's cycler decider does) and a
+translated cycler (as its translated-cycler decider does: a record break
+repeats an earlier one in the same direction and state, shifted by d cells
+after c steps, and the cells the head can have read in between, a window
+of (c - d) // 2 cells behind the earlier record, match their shifted
+copies). A certified run is fast-forwarded: it returns the same
 fuel-exhausted outcome, steps and space included, that stepping to the fuel
-would, without taking the remaining steps. With a watch every configuration
-is still stepped through and shown.
+would, without taking the remaining steps; `_simulate` gives the space
+formulas. With a watch every configuration is still stepped through and
+shown.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -261,7 +267,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     live dict and must not be mutated. A true return stops the run, reported
     as not halted.
 
-    Without a watch, two divergence certificates end a run early with the
+    Without a watch, three divergence certificates end a run early with the
     outcome that stepping to the fuel would give: fuel exhausted, steps equal
     to the fuel, and the space the remaining steps would scan.
     - Runaway: the head breaks a record past every input and written cell,
@@ -271,6 +277,19 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     - Exact repeat: the configuration equals a snapshot retaken at steps 0,
       1, 2, 4, ... (Brent); the tape is compared only when state and head
       match. The run then cycles inside the cells already scanned.
+    - Translated cycler: a record break at step t2 and head h2 has the state
+      and direction of a record snapshot (step t1, head h1), retaken at the
+      first record break at or after step 2*t1 (Brent), and the window
+      behind the record, [h1 - w, h1] for a right record and [h1, h1 + w]
+      for a left one with w = (c - d) // 2, c = t2 - t1 and d = |h2 - h1|,
+      equals the same cells shifted to h2. Cells beyond a record are blank
+      (a right snapshot waits until the head is on the last input cell or
+      past it), and in c steps a head that ends d cells out cannot go more
+      than w cells back, so the c steps from t2 repeat those from t1 shifted
+      by d, and so on forever. The snapshot keeps the steps of later records in its
+      direction, so with k, r = divmod(fuel - 1 - t2, c) the outermost cell
+      scanned is h2 + k*d + (records in (t1, t1 + r]) to the right and
+      h2 - that to the left; the other end of [lo, hi] no longer moves.
     """
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
@@ -282,10 +301,17 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     rules = m.rule_map
     blank = m.blank
     end = len(input_string)
-    # A watch must see every configuration, so it turns both certificates off.
+    # A watch must see every configuration, so it turns the certificates off:
+    # no runaway state, no repeat snapshot at step -1, no record snapshot
+    # before the fuel, which a stepping run never reaches.
     runaway = m._runaway_states() if watch is None else 0
     next_snapshot = 0 if watch is None else -1
+    next_record_snapshot = 0 if watch is None else fuel
     snapshot_state = snapshot_head = snapshot_tape = None
+    # The translated-cycler snapshot: state, step, head, tape and direction of
+    # a record break, and the steps of later records in that direction.
+    record_state = record_step = record_head = record_tape = record_right = None
+    later_records: list[int] = []
     while True:
         if watch is not None and watch(steps, state, head, tape):
             break
@@ -298,14 +324,38 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
         # The head moves one cell per step, so the scanned cells are [lo, hi].
         # A certified runaway's fuel - steps remaining transitions scan head
         # and the cells beyond it; a snapshot's head lies inside [lo, hi].
-        if head < lo:
-            if runaway >> 2 * state & 1:
-                return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, hi - head + fuel - steps)
-            lo = head
-        elif head > hi:
-            if head > end and runaway >> 2 * state + 1 & 1:
-                return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, head + fuel - steps - lo)
-            hi = head
+        if not lo <= head <= hi:
+            right = head > hi
+            if right:
+                if head > end and runaway >> 2 * state + 1 & 1:
+                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, head + fuel - steps - lo)
+                hi = head
+            else:
+                if runaway >> 2 * state & 1:
+                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, hi - head + fuel - steps)
+                lo = head
+            if state == record_state and right == record_right:
+                period = steps - record_step
+                shift = head - record_head
+                drift = abs(shift)
+                width = (period - drift) // 2
+                first = record_head - width if right else record_head
+                # Cells outside [lo, max(hi, end)] are blank in both tapes.
+                start = max(first, lo - drift)
+                stop = min(first + width, max(hi, end) + drift) + 1
+                if list(map(record_tape.get, range(start, stop))) == list(map(tape.get, range(start + shift, stop + shift))):
+                    periods, rest = divmod(fuel - 1 - steps, period)
+                    grown = periods * drift + bisect_right(later_records, record_step + rest)
+                    space = head + grown - lo + 1 if right else hi - head + grown + 1
+                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, space)
+            # The window argument needs blanks past the snapshot's head, so a
+            # right snapshot waits until the head is on the last input cell.
+            if steps >= next_record_snapshot and (head >= end or not right):
+                record_state, record_step, record_head, record_tape, record_right = state, steps, head, dict(tape), right
+                later_records = []
+                next_record_snapshot = 2 * steps
+            elif right == record_right:
+                later_records.append(steps)
         elif head == snapshot_head and state == snapshot_state and tape == snapshot_tape:
             return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, hi - lo + 1)
         if steps == next_snapshot:

@@ -42,7 +42,10 @@ def _time_evaluate(m: MachineDescription, sigma: str, fuel: int) -> int | None:
 
 def _time_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     # Running with fuel n is already exact: halting earlier shows the cost is
-    # below n, not halting within n shows it is above or undefined.
+    # below n, not halting within n shows it is above or undefined. No cost
+    # is negative.
+    if n < 0:
+        return False
     out = run(m, sigma, n)
     return out.kind is RunKind.HALTED_OUTPUT and out.steps == n
 

@@ -178,6 +178,10 @@ class TestMeasure:
         assert main(["measure", "--machine", machine_file(echo), "--input", "ab", "--graph", "1"]) == 0
         assert capsys.readouterr().out.strip() == "True"
 
+    def test_graph_mode_answers_false_for_a_negative_cost(self, machine_file, echo, capsys):
+        assert main(["measure", "--machine", machine_file(echo), "--input", "ab", "--graph", "-1"]) == 0
+        assert capsys.readouterr().out.strip() == "False"
+
     def test_bound_check_prints_the_verdict(self, machine_file, echo, capsys):
         assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--max-len", "2"]) == 0
         assert capsys.readouterr().out.strip() == "in-bounds"

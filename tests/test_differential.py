@@ -6,10 +6,13 @@ configuration seen so far. It steps every run to its fuel, so fuels far past
 the engine's divergence certificates check the fast-forwarded outcomes.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.machine import RunKind, run, trace
+from traitbench.enumeration import decode
+from traitbench.machine import RunKind, run, strings_up_to, trace
 from traitbench.measures import space_measure
 from util import canonical_machines, reference_classify, reference_configs, reference_run
 
@@ -43,3 +46,19 @@ def test_engine_agrees_with_the_reference_stepper(m, data, fuel):
     graph = space_measure().graph_decide
     for n in range(min(space, 21) + 3):
         assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), n
+
+
+def test_decoded_machines_agree_with_the_reference_stepper():
+    # One index from each of 300 equal strata of [0, 10**7): larger shapes
+    # than canonical_machines draws, at the fuels the sweeps use.
+    rng = random.Random(0)
+    width = 10**7 // 300
+    for index in (k * width + rng.randrange(width) for k in range(300)):
+        m = decode(index)
+        for sigma in strings_up_to(m.input_alphabet, 2):
+            for fuel in (100, 257, 500):
+                _, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
+                outcome = run(m, sigma, fuel)
+                assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
+                    kind, steps, space, output, reason
+                ), (index, sigma, fuel)

@@ -126,8 +126,8 @@ class TestCertifiedDivergence:
     """
 
     @staticmethod
-    def assert_matches_reference(m, sigma):
-        for fuel in range(40):
+    def assert_matches_reference(m, sigma, fuels=range(40)):
+        for fuel in fuels:
             _, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
             outcome = run(m, sigma, fuel)
             assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
@@ -174,6 +174,52 @@ class TestCertifiedDivergence:
         self.assert_matches_reference(m, "aa")
         outcome = run(m, "aa", 10**12)
         assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 4)
+
+    # Translated cyclers: from a record break the run repeats, shifted, every
+    # 4 steps. Each writes 'a' on a fresh cell, writes on the next one, steps
+    # back over the 'a' and walks on: 2 cells per period.
+
+    def test_right_translated_cycler_that_steps_back_over_what_it_wrote(self):
+        # Certified at step 8 against the snapshot at step 4.
+        m = _machine("0 _ -> 1 a R", "1 _ -> 2 b L", "2 a -> 0 a R", "0 b -> 0 b R")
+        self.assert_matches_reference(m, "", range(60))
+        self.assert_matches_reference(m, "a", range(10))
+        # The head is at 2k on step 4k and at 2k + 1 on step 4k + 1.
+        assert reference_run(m, "", 400)[3] == 200
+        outcome = run(m, "", 10**12)
+        assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2)
+
+    def test_left_translated_cycler(self):
+        m = _machine("0 _ -> 1 a L", "1 _ -> 2 b R", "2 a -> 0 a L", "0 b -> 0 b L")
+        for sigma in ("", "ab"):
+            self.assert_matches_reference(m, sigma, range(60))
+            assert reference_run(m, sigma, 400)[3] == 200
+            outcome = run(m, sigma, 10**12)
+            assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2)
+
+    def test_translated_cycler_that_must_first_cross_its_input(self):
+        # State 0 walks right over 'a' and halts on 'b'. Its records inside
+        # the input repeat with period 1, so the certificate must wait until
+        # the head is past the input, where the cycle of period 4 begins.
+        m = _machine("0 _ -> 1 a R", "1 _ -> 2 a L", "1 a -> 2 a L", "2 a -> 0 a R", "0 a -> 0 a R")
+        for sigma in ("aab", "aaab", "aaaab"):
+            assert run(m, sigma, 10**12).halted
+            self.assert_matches_reference(m, sigma, range(30))
+        for sigma in ("", "a", "aa", "aaaa"):
+            self.assert_matches_reference(m, sigma, range(60))
+        # From step 5 on "aa" the head is at 2k + 3 on step 4k + 5 and at
+        # 2k + 4 on step 4k + 6.
+        assert reference_run(m, "aa", 400)[3] == 201
+        outcome = run(m, "aa", 10**12)
+        assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2 + 1)
+
+    def test_bouncer_whose_sweep_widens_is_not_certified(self):
+        # Sweeps right over its 'a's, appends one, sweeps back to the blank at
+        # cell -1 and turns. Successive right records match everywhere except
+        # at the far end of the sweep: the window must reach cell -1.
+        m = _machine("0 a -> 0 a R", "0 _ -> 1 a L", "1 a -> 1 a L", "1 _ -> 0 _ R")
+        for sigma in ("", "a", "aa"):
+            self.assert_matches_reference(m, sigma, range(200))
 
     def test_looper_fast_forwards_to_a_huge_fuel(self, looper):
         outcome = run(looper, "ab", 10**12)

@@ -40,6 +40,11 @@ class TestTimeMeasure:
         assert not time.graph_decide(echo, "ab", 0)
         assert not time.graph_decide(echo, "ab", 2)
 
+    def test_graph_rejects_a_negative_cost(self, echo):
+        # As the space graph does; the broken measure shares this graph.
+        for measure in (time_measure(), broken_step_counter(), space_measure()):
+            assert not measure.graph_decide(echo, "ab", -1)
+
     def test_graph_rejects_everywhere_for_undefined_pairs(self, eraser):
         time = time_measure()
         assert not any(time.graph_decide(eraser, "a", n) for n in range(8))
