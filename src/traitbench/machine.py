@@ -20,19 +20,19 @@ a true return stops the run as not halted. `run` is the core without a
 watch, `trace` is a watch that snapshots configurations, and the space
 measure's graph in `measures` is a watch that stops on a repeat.
 
-Without a watch the core also proves divergence with three certificates:
-a runaway (the head is past everything written and the blank-reading rules
-only carry it further out), an exact configuration repeat (Brent's cycle
-detection, as the Busy Beaver Challenge's cycler decider does) and a
-translated cycler (as its translated-cycler decider does: a record break
-repeats an earlier one in the same direction and state, shifted by d cells
-after c steps, and the cells the head can have read in between, a window
-of (c - d) // 2 cells behind the earlier record, match their shifted
-copies). A certified run is fast-forwarded: it returns the same
-fuel-exhausted outcome, steps and space included, that stepping to the fuel
-would, without taking the remaining steps; `_simulate` gives the space
-formulas. With a watch every configuration is still stepped through and
-shown.
+Without a watch the core also proves divergence with two certificates: an
+exact configuration repeat (Brent's cycle detection, as the Busy Beaver
+Challenge's cycler decider does) and a translated cycler (as its
+translated-cycler decider does: a record break repeats an earlier one in
+the same direction and state, shifted by d cells after c steps, and the
+cells the head can have read in between, a window of (c - d) // 2 cells
+behind the earlier record, match their shifted copies). A runaway, a head
+past everything written whose blank-reading rules only carry it further
+out, is the translated cycler with an empty window. A certified run is
+fast-forwarded: it returns the same fuel-exhausted outcome, steps and space
+included, that stepping to the fuel would, without taking the remaining
+steps; `_simulate` gives the space formulas. With a watch every
+configuration is still stepped through and shown.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping
 
 LEFT = "L"
@@ -85,40 +86,11 @@ class MachineDescription:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
-        # The cache of _runaway_states(), made here with the fields: on
-        # CPython 3.11 an attribute first set after construction costs about
-        # 300 more bytes per machine.
-        object.__setattr__(self, "_runaway", None)
         _validate(self)
 
     @cached_property
     def rule_map(self) -> dict[tuple[int, str], tuple[int, str, str]]:
         return {(q, s): (q2, w, mv) for q, s, q2, w, mv in self.transitions}
-
-    def _runaway_states(self) -> int:
-        """Runaway states as bits: 2q going left, 2q + 1 going right.
-
-        A bit is set when, from state q on a blank cell with only blanks
-        beyond it, the blank-reading rules move the head outward only and
-        revisit a state before halting, so the run never halts.
-        """
-        if self._runaway is None:
-            halting = self.halting_states
-            mask = 0
-            for q in self.working_states():
-                for bit, move in enumerate((LEFT, RIGHT)):
-                    seen = set()
-                    p = q
-                    while p not in seen and p not in halting:
-                        seen.add(p)
-                        p, _, p_move = self.rule_map[(p, self.blank)]
-                        if p_move != move:
-                            break
-                    else:
-                        if p in seen:
-                            mask |= 1 << (2 * q + bit)
-            object.__setattr__(self, "_runaway", mask)
-        return self._runaway
 
     @property
     def halting_states(self) -> frozenset[int]:
@@ -267,13 +239,9 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     live dict and must not be mutated. A true return stops the run, reported
     as not halted.
 
-    Without a watch, three divergence certificates end a run early with the
+    Without a watch, two divergence certificates end a run early with the
     outcome that stepping to the fuel would give: fuel exhausted, steps equal
     to the fuel, and the space the remaining steps would scan.
-    - Runaway: the head breaks a record past every input and written cell,
-      so every cell from it outward is blank, and `m._runaway_states()` says
-      the blank-reading rules from this state only move outward and loop.
-      Each remaining step then scans one new cell.
     - Exact repeat: the configuration equals a snapshot retaken at steps 0,
       1, 2, 4, ... (Brent); the tape is compared only when state and head
       match. The run then cycles inside the cells already scanned.
@@ -286,10 +254,12 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
       (a right snapshot waits until the head is on the last input cell or
       past it), and in c steps a head that ends d cells out cannot go more
       than w cells back, so the c steps from t2 repeat those from t1 shifted
-      by d, and so on forever. The snapshot keeps the steps of later records in its
-      direction, so with k, r = divmod(fuel - 1 - t2, c) the outermost cell
-      scanned is h2 + k*d + (records in (t1, t1 + r]) to the right and
-      h2 - that to the left; the other end of [lo, hi] no longer moves.
+      by d, and so on forever. The snapshot keeps the steps of later records
+      in its direction, so with k, r = divmod(fuel - 1 - t2, c) the outermost
+      cell scanned is h2 + k*d + (records in (t1, t1 + r]) to the right and
+      h2 - that to the left; the other end of [lo, hi] no longer moves. A
+      runaway, whose blank-reading rules only carry the head further out, is
+      the case c = d with an empty window of blank cells.
     """
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
@@ -302,9 +272,8 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     blank = m.blank
     end = len(input_string)
     # A watch must see every configuration, so it turns the certificates off:
-    # no runaway state, no repeat snapshot at step -1, no record snapshot
-    # before the fuel, which a stepping run never reaches.
-    runaway = m._runaway_states() if watch is None else 0
+    # no repeat snapshot at step -1, no record snapshot before the fuel, which
+    # a stepping run never reaches.
     next_snapshot = 0 if watch is None else -1
     next_record_snapshot = 0 if watch is None else fuel
     snapshot_state = snapshot_head = snapshot_tape = None
@@ -321,18 +290,13 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
             return RunOutcome(kind, steps, hi - lo + 1, output, reason)
         if steps >= fuel:
             break
-        # The head moves one cell per step, so the scanned cells are [lo, hi].
-        # A certified runaway's fuel - steps remaining transitions scan head
-        # and the cells beyond it; a snapshot's head lies inside [lo, hi].
+        # The head moves one cell per step, so the scanned cells are [lo, hi];
+        # a repeat snapshot's head lies inside them.
         if not lo <= head <= hi:
             right = head > hi
             if right:
-                if head > end and runaway >> 2 * state + 1 & 1:
-                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, head + fuel - steps - lo)
                 hi = head
             else:
-                if runaway >> 2 * state & 1:
-                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, hi - head + fuel - steps)
                 lo = head
             if state == record_state and right == record_right:
                 period = steps - record_step
@@ -343,7 +307,9 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
                 # Cells outside [lo, max(hi, end)] are blank in both tapes.
                 start = max(first, lo - drift)
                 stop = min(first + width, max(hi, end) + drift) + 1
-                if list(map(record_tape.get, range(start, stop))) == list(map(tape.get, range(start + shift, stop + shift))):
+                # The far end of the window, where a mismatch is likeliest, first.
+                cells = range(start, stop) if right else range(stop - 1, start - 1, -1)
+                if all(map(eq, map(record_tape.get, cells), map(tape.get, range(cells.start + shift, cells.stop + shift, cells.step)))):
                     periods, rest = divmod(fuel - 1 - steps, period)
                     grown = periods * drift + bisect_right(later_records, record_step + rest)
                     space = head + grown - lo + 1 if right else hi - head + grown + 1

@@ -134,6 +134,9 @@ class TestCertifiedDivergence:
                 kind, steps, space, output, reason
             ), fuel
 
+    # Runaways: translated cyclers whose period equals their drift, so the
+    # window behind the earlier record is empty.
+
     def test_left_runaway(self):
         m = _machine("0 _ -> 1 _ L", "1 _ -> 0 a L")
         for sigma in ("", "ab"):
