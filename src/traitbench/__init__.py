@@ -21,11 +21,9 @@ from .machine import (
     UndefinedReason,
     equiv_bounded,
     format_machine,
-    initialize,
     parse_machine,
     render_tape,
     run,
-    step,
     strings_up_to,
     trace,
 )

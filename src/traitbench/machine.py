@@ -14,36 +14,37 @@ count and gets back a three-way outcome (halted with output, halted
 undefined, or fuel exhausted) so that no query can hang.
 
 All multi-step simulation goes through one private core, `_simulate`. It
-checks fuel and input once, counts space as the visited interval, and
-calls an optional watch(steps, state, head, tape) on every configuration;
-a true return stops the run as not halted. `run` is the core without a
-watch, `trace` is a watch that snapshots configurations, and the space
-measure's graph in `measures` is a watch that stops on a repeat.
+checks fuel and input once and counts space as the visited interval. `run`
+is the core as it is; `trace` passes a `configs` list that the core fills
+with every configuration; the space measure's graph in `measures` passes a
+`space_limit` that stops the run, not halted, once the head has scanned
+more cells than the limit.
 
-Without a watch the core also proves divergence with two certificates: an
-exact configuration repeat (Brent's cycle detection, as the Busy Beaver
-Challenge's cycler decider does) and a translated cycler (as its
-translated-cycler decider does: a record break repeats an earlier one in
-the same direction and state, shifted by d cells after c steps, and the
-cells the head can have read in between, a window of (c - d) // 2 cells
-behind the earlier record, match their shifted copies). A runaway, a head
-past everything written whose blank-reading rules only carry it further
-out, is the translated cycler with an empty window. A certified run is
-fast-forwarded: it returns the same fuel-exhausted outcome, steps and space
-included, that stepping to the fuel would, without taking the remaining
-steps; `_simulate` gives the space formulas. With a watch every
-configuration is still stepped through and shown.
+Unless `configs` is given, the core also proves divergence with two
+certificates: an exact configuration repeat (Brent's cycle detection, as
+the Busy Beaver Challenge's cycler decider does) and a translated cycler
+(as its translated-cycler decider does: a record break repeats an earlier
+one in the same direction and state, shifted by d cells after c steps, and
+the cells the head can have read in between, a window of (c - d) // 2
+cells behind the earlier record, match their shifted copies). A runaway, a
+head past everything written whose blank-reading rules only carry it
+further out, is the translated cycler with an empty window. A certified run
+is fast-forwarded: it returns the same fuel-exhausted outcome, steps and
+space included, that stepping to the fuel would, without taking the
+remaining steps; `_simulate` gives the space formulas. The space graph runs
+with the certificates on; `trace` still steps through every configuration.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import eq
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 LEFT = "L"
 RIGHT = "R"
@@ -191,35 +192,10 @@ class Configuration:
     tape: Mapping[int, str]
 
 
-def initialize(m: MachineDescription, input_string: str) -> Configuration:
-    """Start configuration: head on the blank cell 0, input on cells 1.. ."""
-    _check_input(m, input_string)
-    return Configuration(
-        state=m.start_state,
-        head=0,
-        tape={i + 1: sym for i, sym in enumerate(input_string)},
-    )
-
-
 def _check_input(m: MachineDescription, input_string: str) -> None:
     for sym in input_string:
         if sym not in m.input_alphabet:
             raise MachineError(f"input symbol {sym!r} is not in the input alphabet")
-
-
-def step(m: MachineDescription, config: Configuration) -> Configuration:
-    """Apply one transition. Raises MachineError on a halted configuration."""
-    if config.state in m.halting_states:
-        raise MachineError("cannot step a halted configuration")
-    read = config.tape.get(config.head, m.blank)
-    next_state, written, move = m.rule_map[(config.state, read)]
-    tape = dict(config.tape)
-    if written == m.blank:
-        tape.pop(config.head, None)
-    else:
-        tape[config.head] = written
-    head = config.head + (1 if move == RIGHT else -1)
-    return Configuration(state=next_state, head=head, tape=tape)
 
 
 def _classify_tape(m: MachineDescription, tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
@@ -231,17 +207,17 @@ def _classify_tape(m: MachineDescription, tape: Mapping[int, str]) -> tuple[str 
     return content, None
 
 
-def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callable[[int, int, int, dict[int, str]], object] | None = None) -> RunOutcome:
+def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list[Configuration] | None = None, space_limit: float = math.inf) -> RunOutcome:
     """The one stepping loop; run, trace and the space graph are built on it.
 
-    watch(steps, state, head, tape), if given, sees every configuration, the
-    first and the last included, before the next transition; the tape is the
-    live dict and must not be mutated. A true return stops the run, reported
-    as not halted.
+    configs, if given, receives every configuration, the first and the last
+    included. space_limit stops the run, reported as not halted, at the
+    record break that makes hi - lo reach it: the head has then scanned more
+    than space_limit cells.
 
-    Without a watch, two divergence certificates end a run early with the
-    outcome that stepping to the fuel would give: fuel exhausted, steps equal
-    to the fuel, and the space the remaining steps would scan.
+    Unless configs is given, two divergence certificates end a run early
+    with the outcome that stepping to the fuel would give: fuel exhausted,
+    steps equal to the fuel, and the space the remaining steps would scan.
     - Exact repeat: the configuration equals a snapshot retaken at steps 0,
       1, 2, 4, ... (Brent); the tape is compared only when state and head
       match. The run then cycles inside the cells already scanned.
@@ -271,19 +247,19 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
     rules = m.rule_map
     blank = m.blank
     end = len(input_string)
-    # A watch must see every configuration, so it turns the certificates off:
+    # A trace must hold every configuration, so it turns the certificates off:
     # no repeat snapshot at step -1, no record snapshot before the fuel, which
     # a stepping run never reaches.
-    next_snapshot = 0 if watch is None else -1
-    next_record_snapshot = 0 if watch is None else fuel
+    next_snapshot = 0 if configs is None else -1
+    next_record_snapshot = 0 if configs is None else fuel
     snapshot_state = snapshot_head = snapshot_tape = None
     # The translated-cycler snapshot: state, step, head, tape and direction of
     # a record break, and the steps of later records in that direction.
     record_state = record_step = record_head = record_tape = record_right = None
     later_records: list[int] = []
     while True:
-        if watch is not None and watch(steps, state, head, tape):
-            break
+        if configs is not None:
+            configs.append(Configuration(state, head, dict(tape)))
         if state in halting:
             output, reason = _classify_tape(m, tape)
             kind = RunKind.HALTED_UNDEFINED if output is None else RunKind.HALTED_OUTPUT
@@ -298,6 +274,8 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, watch: Callab
                 hi = head
             else:
                 lo = head
+            if hi - lo >= space_limit:
+                break
             if state == record_state and right == record_right:
                 period = steps - record_step
                 shift = head - record_head
@@ -345,7 +323,7 @@ def run(m: MachineDescription, input_string: str, fuel: int) -> RunOutcome:
 def trace(m: MachineDescription, input_string: str, fuel: int) -> list[Configuration]:
     """All configurations visited, from the start one until halt or fuel runs out."""
     configs: list[Configuration] = []
-    _simulate(m, input_string, fuel, lambda _, state, head, tape: configs.append(Configuration(state, head, dict(tape))))
+    _simulate(m, input_string, fuel, configs)
     return configs
 
 

@@ -68,33 +68,18 @@ def pigeonhole_step_bound(m: MachineDescription, n: int) -> int:
 def _space_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     """Fuel-free decision of "the machine halts with output scanning exactly n cells".
 
-    The run stops as soon as the head scans more than n cells (the answer is
-    then no whatever happens later), or when the configuration equals a
-    snapshot retaken at every power-of-two step (Brent's cycle detection).
-    The comparison is exact: any repeat proves divergence, because the
-    dynamics are deterministic, and a run that reaches a cycle after p steps
-    and repeats every c steps is caught by step 2 * max(p, c) + c. A confined
-    run that repeats nothing halts within pigeonhole_step_bound steps, and
-    the fuel is one more than that, so this always terminates.
+    The engine stops the run as soon as the head scans more than n cells
+    (the answer is then no whatever happens later). A run confined to n
+    cells either halts or repeats a configuration, and the engine's
+    exact-repeat certificate catches every repeat: the dynamics are
+    deterministic, and a run that reaches a cycle after p steps and repeats
+    every c steps is caught by step 2 * max(p, c) + c. A confined run that
+    repeats nothing halts within pigeonhole_step_bound steps, and the fuel
+    is one more than that, so this always terminates. No cost is negative.
     """
-    if any(sym not in m.input_alphabet for sym in sigma):
+    if n < 0 or any(sym not in m.input_alphabet for sym in sigma):
         return False
-    halting = (m.accept_state, m.reject_state)
-    lo = hi = 0
-    snapshot = None
-
-    def stop(steps: int, state: int, head: int, tape: dict[int, str]) -> bool:
-        nonlocal lo, hi, snapshot
-        if state in halting:
-            return False
-        lo, hi = min(lo, head), max(hi, head)
-        if hi - lo >= n or snapshot == (state, head, tape):
-            return True
-        if not steps & (steps - 1):
-            snapshot = (state, head, dict(tape))
-        return False
-
-    outcome = _simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, stop)
+    outcome = _simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, space_limit=n)
     return outcome.kind is RunKind.HALTED_OUTPUT and outcome.space == n
 
 

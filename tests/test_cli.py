@@ -182,6 +182,11 @@ class TestMeasure:
         assert main(["measure", "--machine", machine_file(echo), "--input", "ab", "--graph", "-1"]) == 0
         assert capsys.readouterr().out.strip() == "False"
 
+    def test_space_graph_answers_false_where_the_pigeonhole_bound_is_negative(self, machine_file, many_states, capsys):
+        args = ["measure", "--measure", "space", "--machine", machine_file(many_states), "--input", "a", "--graph", "-3"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.strip() == "False"
+
     def test_bound_check_prints_the_verdict(self, machine_file, echo, capsys):
         assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--max-len", "2"]) == 0
         assert capsys.readouterr().out.strip() == "in-bounds"

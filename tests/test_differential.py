@@ -53,6 +53,7 @@ def test_decoded_machines_agree_with_the_reference_stepper():
     # than canonical_machines draws, at the fuels the sweeps use.
     rng = random.Random(0)
     width = 10**7 // 300
+    graph = space_measure().graph_decide
     for index in (k * width + rng.randrange(width) for k in range(300)):
         m = decode(index)
         for sigma in strings_up_to(m.input_alphabet, 2):
@@ -62,3 +63,5 @@ def test_decoded_machines_agree_with_the_reference_stepper():
                 assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
                     kind, steps, space, output, reason
                 ), (index, sigma, fuel)
+            for n in range(13):
+                assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), (index, sigma, n)

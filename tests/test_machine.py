@@ -20,7 +20,7 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from util import canonical_machines, reference_run
+from util import canonical_machines, machine_from_rules, reference_run
 
 
 class TestRun:
@@ -110,14 +110,6 @@ class TestRun:
         assert outcome.steps <= fuel
 
 
-def _machine(*rules: str) -> MachineDescription:
-    """Working states 0..2, accept 3, reject 4, input alphabet ab; missing rules reject."""
-    given = {rule.split(" -> ")[0] for rule in rules}
-    rest = [f"{q} {s} -> 4 {s} R" for q in range(3) for s in "ab_" if f"{q} {s}" not in given]
-    header = "states: 5\nstart: 0 accept: 3 reject: 4\ninput_alphabet: ab\ntape_alphabet: ab_\n"
-    return parse_machine(header + "".join(f"delta: {rule}\n" for rule in (*rules, *rest)))
-
-
 class TestCertifiedDivergence:
     """run fast-forwards certified runs; each outcome must still be exact.
 
@@ -138,7 +130,7 @@ class TestCertifiedDivergence:
     # window behind the earlier record is empty.
 
     def test_left_runaway(self):
-        m = _machine("0 _ -> 1 _ L", "1 _ -> 0 a L")
+        m = machine_from_rules("0 _ -> 1 _ L", "1 _ -> 0 a L")
         for sigma in ("", "ab"):
             self.assert_matches_reference(m, sigma)
             outcome = run(m, sigma, 10**12)
@@ -147,7 +139,7 @@ class TestCertifiedDivergence:
     def test_right_runaway_crosses_its_input_first(self):
         # The blank rule of state 0 runs away, but a 'b' on the input halts:
         # the certificate must wait until the head is past the input.
-        m = _machine("0 _ -> 0 _ R", "0 a -> 0 a R", "0 b -> 3 b R")
+        m = machine_from_rules("0 _ -> 0 _ R", "0 a -> 0 a R", "0 b -> 3 b R")
         halted = run(m, "ab", 10**12)
         assert (halted.output, halted.steps) == ("ab", 3)
         for sigma in ("", "a", "aa", "ab", "ba"):
@@ -166,14 +158,14 @@ class TestCertifiedDivergence:
         ],
     )
     def test_blank_chain_that_turns_back_or_halts_is_not_certified(self, rules, output):
-        m = _machine(*rules)
+        m = machine_from_rules(*rules)
         assert run(m, "", 10**12).output == output
         self.assert_matches_reference(m, "")
 
     def test_cycle_after_a_preperiod(self):
         # Walks over the input, then bounces between its last cell and the
         # blank after it: preperiod 3 and period 2 on "aa", 4 cells scanned.
-        m = _machine("0 _ -> 1 _ R", "1 a -> 1 a R", "1 _ -> 2 _ L", "2 a -> 1 a R")
+        m = machine_from_rules("0 _ -> 1 _ R", "1 a -> 1 a R", "1 _ -> 2 _ L", "2 a -> 1 a R")
         self.assert_matches_reference(m, "aa")
         outcome = run(m, "aa", 10**12)
         assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 4)
@@ -184,7 +176,7 @@ class TestCertifiedDivergence:
 
     def test_right_translated_cycler_that_steps_back_over_what_it_wrote(self):
         # Certified at step 8 against the snapshot at step 4.
-        m = _machine("0 _ -> 1 a R", "1 _ -> 2 b L", "2 a -> 0 a R", "0 b -> 0 b R")
+        m = machine_from_rules("0 _ -> 1 a R", "1 _ -> 2 b L", "2 a -> 0 a R", "0 b -> 0 b R")
         self.assert_matches_reference(m, "", range(60))
         self.assert_matches_reference(m, "a", range(10))
         # The head is at 2k on step 4k and at 2k + 1 on step 4k + 1.
@@ -193,7 +185,7 @@ class TestCertifiedDivergence:
         assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2)
 
     def test_left_translated_cycler(self):
-        m = _machine("0 _ -> 1 a L", "1 _ -> 2 b R", "2 a -> 0 a L", "0 b -> 0 b L")
+        m = machine_from_rules("0 _ -> 1 a L", "1 _ -> 2 b R", "2 a -> 0 a L", "0 b -> 0 b L")
         for sigma in ("", "ab"):
             self.assert_matches_reference(m, sigma, range(60))
             assert reference_run(m, sigma, 400)[3] == 200
@@ -204,7 +196,7 @@ class TestCertifiedDivergence:
         # State 0 walks right over 'a' and halts on 'b'. Its records inside
         # the input repeat with period 1, so the certificate must wait until
         # the head is past the input, where the cycle of period 4 begins.
-        m = _machine("0 _ -> 1 a R", "1 _ -> 2 a L", "1 a -> 2 a L", "2 a -> 0 a R", "0 a -> 0 a R")
+        m = machine_from_rules("0 _ -> 1 a R", "1 _ -> 2 a L", "1 a -> 2 a L", "2 a -> 0 a R", "0 a -> 0 a R")
         for sigma in ("aab", "aaab", "aaaab"):
             assert run(m, sigma, 10**12).halted
             self.assert_matches_reference(m, sigma, range(30))
@@ -220,7 +212,7 @@ class TestCertifiedDivergence:
         # Sweeps right over its 'a's, appends one, sweeps back to the blank at
         # cell -1 and turns. Successive right records match everywhere except
         # at the far end of the sweep: the window must reach cell -1.
-        m = _machine("0 a -> 0 a R", "0 _ -> 1 a L", "1 a -> 1 a L", "1 _ -> 0 _ R")
+        m = machine_from_rules("0 a -> 0 a R", "0 _ -> 1 a L", "1 a -> 1 a L", "1 _ -> 0 _ R")
         for sigma in ("", "a", "aa"):
             self.assert_matches_reference(m, sigma, range(200))
 
@@ -241,6 +233,13 @@ class TestTrace:
     def test_rejects_negative_fuel(self, echo):
         with pytest.raises(MachineError):
             trace(echo, "a", -1)
+
+    def test_steps_through_runs_the_certificates_would_end(self, looper):
+        # A runaway and a two-cell rocker: run fast-forwards both, but the
+        # trace must hold every configuration up to the fuel.
+        rocker = machine_from_rules("0 _ -> 1 _ R", "1 _ -> 0 _ L")
+        assert [c.head for c in trace(looper, "ab", 50)] == list(range(51))
+        assert [c.head for c in trace(rocker, "", 50)] == [0, 1] * 25 + [0]
 
     def test_zero_fuel_gives_the_start_configuration_only(self, eraser):
         configs = trace(eraser, "ab", 0)

@@ -23,7 +23,7 @@ from traitbench.measures import (
     usage_within_bound,
 )
 from traitbench.transforms import delay_inject
-from util import canonical_machines
+from util import canonical_machines, machine_from_rules
 
 
 class TestTimeMeasure:
@@ -40,10 +40,14 @@ class TestTimeMeasure:
         assert not time.graph_decide(echo, "ab", 0)
         assert not time.graph_decide(echo, "ab", 2)
 
-    def test_graph_rejects_a_negative_cost(self, echo):
-        # As the space graph does; the broken measure shares this graph.
+    def test_graph_rejects_a_negative_cost(self, echo, many_states):
+        # The broken measure shares the time graph. With more states than
+        # tape-alphabet cubes, the pigeonhole bound at n = -3 is negative.
         for measure in (time_measure(), broken_step_counter(), space_measure()):
-            assert not measure.graph_decide(echo, "ab", -1)
+            assert measure.graph_decide(many_states, "a", 1)
+            for m, sigma in ((echo, "ab"), (many_states, "a")):
+                for n in (-1, -2, -3, -10):
+                    assert not measure.graph_decide(m, sigma, n), (m.state_count, n)
 
     def test_graph_rejects_everywhere_for_undefined_pairs(self, eraser):
         time = time_measure()
@@ -68,10 +72,24 @@ class TestSpaceMeasure:
         from traitbench.enumeration import decode
 
         # decode(0) crawls left forever over blanks: an infinite run whose
-        # scanned-cell count still grows, caught by the visited-cells abort.
+        # scanned-cell count still grows, stopped by the engine's space limit.
         space = space_measure()
         m = decode(0)
         assert not any(space.graph_decide(m, "a", n) for n in range(3))
+
+    def test_graph_stops_a_run_that_leaves_the_n_cells(self):
+        # The widening bouncer is certified by neither certificate and would
+        # step for 3.3e16 steps: only the space limit ends its run.
+        m = machine_from_rules("0 a -> 0 a R", "0 _ -> 1 a L", "1 a -> 1 a L", "1 _ -> 0 _ R")
+        assert pigeonhole_step_bound(m, 30) > 10**16
+        assert not space_measure().graph_decide(m, "", 30)
+
+    def test_graph_stops_a_run_that_repeats_a_configuration(self):
+        # Rocks between cells 0 and 1 forever, inside the 40 cells: only the
+        # exact-repeat certificate ends its run before the pigeonhole bound.
+        m = machine_from_rules("0 _ -> 1 _ R", "1 _ -> 0 _ L")
+        assert pigeonhole_step_bound(m, 40) > 10**20
+        assert not space_measure().graph_decide(m, "", 40)
 
     def test_pigeonhole_bound_grows_with_input_length(self, echo):
         assert pigeonhole_step_bound(echo, 0) < pigeonhole_step_bound(echo, 2)

@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE
-from traitbench.machine import BLANK, MachineDescription, RunKind, UndefinedReason
+from traitbench.machine import BLANK, MachineDescription, RunKind, UndefinedReason, parse_machine
 
 MOVES = ("L", "R")
 
@@ -39,6 +39,14 @@ def random_canonical_machine(
         blank=BLANK,
         transitions=rules,
     )
+
+
+def machine_from_rules(*rules: str) -> MachineDescription:
+    """Working states 0..2, accept 3, reject 4, input alphabet ab; missing rules reject."""
+    given = {rule.split(" -> ")[0] for rule in rules}
+    rest = [f"{q} {s} -> 4 {s} R" for q in range(3) for s in "ab_" if f"{q} {s}" not in given]
+    header = "states: 5\nstart: 0 accept: 3 reject: 4\ninput_alphabet: ab\ntape_alphabet: ab_\n"
+    return parse_machine(header + "".join(f"delta: {rule}\n" for rule in (*rules, *rest)))
 
 
 @st.composite
