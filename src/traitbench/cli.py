@@ -60,7 +60,8 @@ def _emit(args: argparse.Namespace, rows, columns) -> None:
         write_report(args.out, rows, columns, args.format, _report_config(args))
     else:
         for row in rows:
-            print(" ".join(f"{col}={row.get(col, '')}" for col in columns))
+            # None prints nothing, as it writes an empty CSV cell.
+            print(" ".join(f"{col}={'' if row.get(col) is None else row[col]}" for col in columns))
 
 
 def _outcome_row(outcome) -> dict:
@@ -118,8 +119,8 @@ def cmd_enumerate(args) -> int:
     for n in indices:
         decode(n)
     if args.out:
-        rows = [{"index": n, "verdict": "valid", "witness": ""} for n in indices]
-        write_report(args.out, rows, ["index", "verdict", "witness"], args.format, _report_config(args))
+        rows = [{"index": n, "verdict": "valid"} for n in indices]
+        write_report(args.out, rows, ["index", "verdict"], args.format, _report_config(args))
     print(f"{len(indices)} machines valid")
     return 0
 
@@ -319,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_count, default=1000, help="number of indices to cover")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--validate", action="store_true", help="decode and validate indices 0..max-1 (the default)")
-    mode.add_argument("--show", type=int, help="print the machine at one index")
+    mode.add_argument("--show", type=_count, help="print the machine at one index")
     mode.add_argument("--reference", help="machine file; partition indices 0..max-1 by bounded equivalence with it")
-    mode.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
-    mode.add_argument("--unpair", type=int, help="print the two naturals a code pairs")
+    mode.add_argument("--pair", type=_count, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
+    mode.add_argument("--unpair", type=_count, help="print the two naturals a code pairs")
     p.add_argument("--max-len", type=_count, default=2)
     p.add_argument("--fuel", type=int, default=100)
     _add_report_flags(p)

@@ -16,12 +16,24 @@ symbol universes are skipped. The global index of a machine is the sum of
 the table capacities of all earlier shapes plus its own table numeral, which
 makes decode total and encode its exact inverse: every natural denotes one
 canonical machine and every canonical machine has one index.
+
+Each shape computes its layout once and keeps two tables: `actions[digit]`
+is the (next state, written symbol, move) a digit packs, and `keys[i]` the
+(state, read symbol) pair digit i encodes; `digit_of` and `position` invert
+them. decode peels one digit per key with divmod and looks its action up;
+encode places each rule's digit by table lookup and folds the digits with
+Horner's rule. decode builds every machine through the public constructor,
+so each decoded machine is validated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 from math import isqrt
+from typing import Mapping
 
 from .machine import (
     LEFT,
@@ -59,29 +71,43 @@ class _Shape:
     sigma_size: int
     extra_count: int
 
-    @property
+    @cached_property
     def sigma(self) -> tuple[str, ...]:
         return tuple(SIGMA_UNIVERSE[: self.sigma_size])
 
-    @property
+    @cached_property
     def gamma(self) -> tuple[str, ...]:
         return self.sigma + (BLANK,) + tuple(EXTRA_UNIVERSE[: self.extra_count])
 
-    @property
-    def gamma_size(self) -> int:
-        return self.sigma_size + 1 + self.extra_count
-
-    @property
+    @cached_property
     def radix(self) -> int:
-        return self.states * self.gamma_size * 2
+        return self.states * len(self.gamma) * 2
 
-    @property
+    @cached_property
     def digit_count(self) -> int:
-        return (self.states - 2) * self.gamma_size
+        return (self.states - 2) * len(self.gamma)
 
     @property
     def capacity(self) -> int:
         return self.radix ** self.digit_count
+
+    @cached_property
+    def actions(self) -> tuple[tuple[int, str, str], ...]:
+        """actions[digit]: the (next state, written symbol, move) the digit packs."""
+        return tuple(product(range(self.states), self.gamma, (LEFT, RIGHT)))
+
+    @cached_property
+    def digit_of(self) -> dict[tuple[int, str, str], int]:
+        return {action: digit for digit, action in enumerate(self.actions)}
+
+    @cached_property
+    def keys(self) -> tuple[tuple[int, str], ...]:
+        """keys[i]: the (state, read symbol) pair whose rule digit i encodes."""
+        return tuple(product(range(self.states - 2), self.gamma))
+
+    @cached_property
+    def position(self) -> dict[tuple[int, str], int]:
+        return {key: i for i, key in enumerate(self.keys)}
 
 
 def _shape_from_code(code: int) -> _Shape | None:
@@ -92,12 +118,11 @@ def _shape_from_code(code: int) -> _Shape | None:
     return _Shape(states=a + 3, sigma_size=b + 1, extra_count=c)
 
 
-def _shape_code(shape: _Shape) -> int:
-    return pair(shape.states - 3, pair(shape.sigma_size - 1, shape.extra_count))
-
-
-# Valid shapes in code order with their first global index, grown on demand.
-_walk: list[tuple[int, _Shape, int]] = []
+# Valid shapes in code order with their first global index, grown on demand,
+# and the same pairs keyed by (states, sigma size, extra count).
+_shapes: list[_Shape] = []
+_starts: list[int] = []
+_by_dims: dict[tuple[int, int, int], tuple[_Shape, int]] = {}
 _next_code = 0
 _next_start = 0
 
@@ -105,62 +130,45 @@ _next_start = 0
 def _extend_walk() -> None:
     global _next_code, _next_start
     while True:
-        code = _next_code
+        shape = _shape_from_code(_next_code)
         _next_code += 1
-        shape = _shape_from_code(code)
         if shape is None:
             continue
-        _walk.append((code, shape, _next_start))
+        _shapes.append(shape)
+        _starts.append(_next_start)
+        _by_dims[shape.states, shape.sigma_size, shape.extra_count] = shape, _next_start
         _next_start += shape.capacity
         return
 
 
 def _locate_index(n: int) -> tuple[_Shape, int]:
-    while not _walk or n >= _next_start:
+    while n >= _next_start:
         _extend_walk()
-    lo, hi = 0, len(_walk) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _walk[mid][2] <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    _, shape, start = _walk[lo]
-    return shape, n - start
-
-
-def _first_index(shape: _Shape) -> int:
-    code = _shape_code(shape)
-    while not _walk or _walk[-1][0] < code:
-        _extend_walk()
-    for walked_code, _, start in _walk:
-        if walked_code == code:
-            return start
-    raise ValueError(f"shape {shape} is outside the symbol universes")
+    i = bisect_right(_starts, n) - 1
+    return _shapes[i], n - _starts[i]
 
 
 def decode(n: int) -> MachineDescription:
-    """The canonical machine with index n; defined for every natural."""
+    """The canonical machine with index n; defined for every natural.
+
+    The machine is built through the public constructor, so it is validated
+    like any other.
+    """
     if n < 0:
         raise ValueError("machine indices are nonnegative")
-    shape, offset = _locate_index(n)
-    gamma = shape.gamma
-    gsize = shape.gamma_size
+    shape, table = _locate_index(n)
+    radix, actions = shape.radix, shape.actions
     rules: list[Rule] = []
-    table = offset
-    for q in range(shape.states - 2):
-        for sym in gamma:
-            table, digit = divmod(table, shape.radix)
-            packed, direction = divmod(digit, 2)
-            next_state, write_rank = divmod(packed, gsize)
-            rules.append((q, sym, next_state, gamma[write_rank], RIGHT if direction else LEFT))
+    for key in shape.keys:
+        table, digit = divmod(table, radix)
+        rules.append(key + actions[digit])
     return MachineDescription(
         state_count=shape.states,
         start_state=0,
         accept_state=shape.states - 2,
         reject_state=shape.states - 1,
         input_alphabet=shape.sigma,
-        tape_alphabet=gamma,
+        tape_alphabet=shape.gamma,
         blank=BLANK,
         transitions=tuple(rules),
     )
@@ -186,28 +194,36 @@ def encode(m: MachineDescription) -> int:
     """The index of a canonical machine; inverse of decode."""
     if not is_canonical(m):
         raise ValueError("machine is not in canonical form; canonicalize it first")
-    shape = _Shape(
-        states=m.state_count,
-        sigma_size=len(m.input_alphabet),
-        extra_count=len(m.tape_alphabet) - len(m.input_alphabet) - 1,
-    )
-    gamma = shape.gamma
-    rank = {sym: i for i, sym in enumerate(gamma)}
-    rules = m.rule_map
+    sigma_size = len(m.input_alphabet)
+    dims = (m.state_count, sigma_size, len(m.tape_alphabet) - sigma_size - 1)
+    while dims not in _by_dims:
+        _extend_walk()
+    shape, start = _by_dims[dims]
+    position, digit_of = shape.position, shape.digit_of
+    digits = [0] * shape.digit_count
+    for q, s, q2, w, mv in m.transitions:
+        digits[position[q, s]] = digit_of[q2, w, mv]
+    radix = shape.radix
     table = 0
-    for q in reversed(range(shape.states - 2)):
-        for sym in reversed(gamma):
-            next_state, written, move = rules[(q, sym)]
-            digit = (next_state * shape.gamma_size + rank[written]) * 2 + (1 if move == RIGHT else 0)
-            table = table * shape.radix + digit
-    return _first_index(shape) + table
+    for digit in reversed(digits):
+        table = table * radix + digit
+    return start + table
 
 
 @dataclass(frozen=True)
 class IndexSetResult:
+    """Indices bucketed by bounded equivalence with a reference machine.
+
+    witnesses maps a differ index to the first input that separates it from
+    the reference, and an inconclusive index to the first input left
+    unsettled; agree indices, and differ indices whose input alphabet is not
+    the reference's, have none.
+    """
+
     agree: tuple[int, ...]
     inconclusive: tuple[int, ...]
     differ: tuple[int, ...]
+    witnesses: Mapping[int, str] = field(default_factory=dict)
 
     def rows(self) -> list[dict[str, object]]:
         verdicts: dict[int, str] = {}
@@ -217,7 +233,7 @@ class IndexSetResult:
             verdicts[n] = "inconclusive"
         for n in self.differ:
             verdicts[n] = "differ"
-        return [{"index": n, "verdict": verdicts[n], "witness": ""} for n in sorted(verdicts)]
+        return [{"index": n, "verdict": verdicts[n], "witness": self.witnesses.get(n)} for n in sorted(verdicts)]
 
 
 def index_set_bounded(reference: MachineDescription, max_index: int, max_len: int, fuel: int) -> IndexSetResult:
@@ -231,16 +247,19 @@ def index_set_bounded(reference: MachineDescription, max_index: int, max_len: in
     agree: list[int] = []
     inconclusive: list[int] = []
     differ: list[int] = []
+    witnesses: dict[int, str] = {}
     for n in range(max_index + 1):
         candidate = decode(n)
         if set(candidate.input_alphabet) != ref_sigma:
             differ.append(n)
             continue
         verdict = equiv_bounded(candidate, reference, max_len, fuel)
+        if verdict.witness is not None:
+            witnesses[n] = verdict.witness
         if verdict.kind is EquivKind.AGREE:
             agree.append(n)
         elif verdict.kind is EquivKind.INCONCLUSIVE:
             inconclusive.append(n)
         else:
             differ.append(n)
-    return IndexSetResult(tuple(agree), tuple(inconclusive), tuple(differ))
+    return IndexSetResult(tuple(agree), tuple(inconclusive), tuple(differ), witnesses)

@@ -6,7 +6,7 @@ import pytest
 
 from traitbench.cli import main
 from traitbench.enumeration import decode
-from traitbench.machine import format_machine, parse_machine
+from traitbench.machine import equiv_bounded, format_machine, parse_machine
 
 
 @pytest.fixture
@@ -47,6 +47,9 @@ class TestExitCodes:
             ["measure", "--machine", "m.tm", "--trials", "-2"],
             ["patch-decider", "--l1", "1", "--l2", "2", "--universe-max", "-1"],
             ["prop3", "--max-len", "x"],
+            ["enumerate", "--show", "-1"],
+            ["enumerate", "--pair", "-1", "2"],
+            ["enumerate", "--unpair", "-3"],
         ],
     )
     def test_negative_count_flags_exit_two(self, args, capsys):
@@ -123,6 +126,31 @@ class TestEnumerate:
         lines = out.read_text().splitlines()
         assert lines[1] == "index,verdict,witness"
         assert len(lines) == 2 + 20  # header, columns, indices 0..19
+        witnesses = [equiv_bounded(decode(n), decode(48), 1, 60).witness for n in range(20)]
+        assert "a" in witnesses
+        assert [line.split(",")[2] for line in lines[2:]] == [w or "" for w in witnesses]
+
+    def test_reference_jsonl_report_writes_null_where_there_is_no_witness(self, machine_file, echo, tmp_path, capsys):
+        out = tmp_path / "indexset.jsonl"
+
+        def rows(reference):
+            argv = ["enumerate", "--reference", machine_file(reference), "--max", "50", "--max-len", "1", "--fuel", "60"]
+            assert main([*argv, "--out", str(out), "--format", "jsonl"]) == 0
+            return {row["index"]: (row["verdict"], row["witness"]) for row in map(json.loads, out.read_text().splitlines()[1:])}
+
+        # decode(48) agrees with itself, and agreement has no witness.
+        assert rows(decode(48))[48] == ("agree", None)
+        # echo's two-letter alphabet differs outright from that of every index below 144.
+        assert set(rows(echo).values()) == {("differ", None)}
+
+    def test_reference_prints_an_empty_cell_where_there_is_no_witness(self, machine_file, capsys):
+        assert main(["enumerate", "--reference", machine_file(decode(48)), "--max", "49", "--max-len", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[48] == "index=48 verdict=agree witness="
+
+    def test_validate_report_has_no_witness_column(self, tmp_path, capsys):
+        out = tmp_path / "valid.csv"
+        assert main(["enumerate", "--max", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["index,verdict", "0,valid", "1,valid", "2,valid"]
 
     @pytest.mark.parametrize(
         "modes",

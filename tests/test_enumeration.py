@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitbench import machine
+from traitbench.cli import main
 from traitbench.enumeration import decode, encode, index_set_bounded, is_canonical, pair, unpair
-from traitbench.machine import EquivKind, equiv_bounded
+from traitbench.machine import EquivKind, MachineError, equiv_bounded
 from util import canonical_machines, random_canonical_machine
 
 
@@ -49,6 +51,18 @@ class TestDecode:
         assert (m.start_state, m.accept_state, m.reject_state) == (0, 1, 2)
         assert m.rule_map == {(0, "a"): (0, "a", "L"), (0, "_"): (0, "a", "L")}
 
+    def test_decode_validates_every_machine(self, monkeypatch, capsys):
+        # enumerate --validate checks machines only by decoding them, so a
+        # decode that skipped validation would make its count vacuous.
+        def reject(m):
+            raise MachineError("rejected")
+
+        monkeypatch.setattr(machine, "_validate", reject)
+        with pytest.raises(MachineError):
+            decode(7)
+        assert main(["enumerate", "--validate", "--max", "3"]) == 1
+        assert "machines valid" not in capsys.readouterr().out
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             decode(-1)
@@ -73,10 +87,17 @@ class TestEncode:
         for n in range(2000):
             assert encode(decode(n)) == n
 
-    @given(canonical_machines(max_states=5, max_sigma=2, max_extras=1))
+    # Every alphabet size of both symbol universes, so each shape's digit
+    # tables are exercised on the widest alphabets too.
+    @given(canonical_machines(max_states=8, max_sigma=10, max_extras=10))
     @settings(max_examples=100, deadline=None)
     def test_decode_inverts_encode(self, m):
         assert decode(encode(m)) == m
+
+    @given(st.integers(0, 10**60))
+    @settings(max_examples=100, deadline=None)
+    def test_encode_inverts_decode_on_large_indices(self, n):
+        assert encode(decode(n)) == n
 
     def test_seeded_random_machines_round_trip(self):
         rng = random.Random(7)
@@ -100,13 +121,14 @@ class TestIndexSet:
         reference = decode(37)
         result = index_set_bounded(reference, max_index=60, max_len=1, fuel=60)
         for n in range(61):
-            verdict = equiv_bounded(reference, decode(n), 1, 60).kind
+            verdict = equiv_bounded(reference, decode(n), 1, 60)
             expected = {
                 EquivKind.AGREE: result.agree,
                 EquivKind.INCONCLUSIVE: result.inconclusive,
                 EquivKind.DIFFER: result.differ,
-            }[verdict]
+            }[verdict.kind]
             assert n in expected
+            assert result.witnesses.get(n) == verdict.witness
 
     def test_reference_index_lands_in_agree_when_it_halts_everywhere(self):
         # decode(48) halts on its first step whatever it reads, so the sweep
@@ -127,6 +149,7 @@ class TestIndexSet:
         result = index_set_bounded(echo, 10, 1, 60)
         assert result.differ == tuple(range(11))
         assert not result.agree and not result.inconclusive
+        assert [row["witness"] for row in result.rows()] == [None] * 11
 
     def test_rows_cover_zero_through_max_index_inclusive(self):
         result = index_set_bounded(decode(0), 15, 1, 40)
