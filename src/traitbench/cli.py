@@ -214,7 +214,7 @@ def cmd_trait(args) -> int:
 def cmd_partition(args) -> int:
     expr = parse_trait(args.name)
     partition = sem_syn_partition(expr, range(args.max_index), args.probes, Bounds(args.max_len, args.fuel))
-    _emit(args, partition.rows(), ["index", "verdict", "part", "witness_kind"])
+    _emit(args, partition.rows(), ["index", "verdict", "part", "witness_kind", "witness_parameter"])
     print(f"sem={len(partition.sem)} syn={len(partition.syn)} unknown={len(partition.unknown)}")
     return 0
 
@@ -297,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a machine on one input under a fuel bound")
     p.add_argument("--machine", required=True)
     p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_count, default=1000)
     _add_report_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="print every configuration of a bounded run")
     p.add_argument("--machine", required=True)
     p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_count, default=1000)
     _add_report_flags(p)
     p.set_defaults(func=cmd_trace)
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True)
     p.add_argument("--other", required=True)
     p.add_argument("--max-len", type=_count, default=3)
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_count, default=1000)
     _add_report_flags(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--pair", type=_count, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
     mode.add_argument("--unpair", type=_count, help="print the two naturals a code pairs")
     p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=int, default=100)
+    p.add_argument("--fuel", type=_count, default=100)
     _add_report_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True)
     p.add_argument("--measure", choices=sorted(MEASURES), default="time")
     p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_count, default=1000)
     p.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
     p.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
     p.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=sorted(MEASURES), default="time")
     p.add_argument("--max-index", type=_count, default=200)
     p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=int, default=500)
+    p.add_argument("--fuel", type=_count, default=500)
     _add_report_flags(p)
     p.set_defaults(func=cmd_blum_check)
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="e.g. states:3 or and(states:3,total-nonempty:2:50)")
     p.add_argument("--machine", required=True)
     p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=int, default=100)
+    p.add_argument("--fuel", type=_count, default=100)
     p.set_defaults(func=cmd_trait)
 
     p = sub.add_parser("partition", help="split a trait's members by semanticity probing")
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=_count, default=200)
     p.add_argument("--probes", type=_count, default=3)
     p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=int, default=100)
+    p.add_argument("--fuel", type=_count, default=100)
     _add_report_flags(p)
     p.set_defaults(func=cmd_partition)
 
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prop3", help="wire a state-count-aware halting oracle into a halting decider")
     p.add_argument("--max-index", type=_count, default=144)
     p.add_argument("--max-len", type=_count, default=1)
-    p.add_argument("--fuel", type=int, default=200)
+    p.add_argument("--fuel", type=_count, default=200)
     _add_report_flags(p)
     p.set_defaults(func=cmd_prop_wiring)
 
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="JSON file with classified strings")
     p.add_argument("--inputs", help="comma-separated inputs; defaults to all up to --max-len")
     p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=int, default=500)
+    p.add_argument("--fuel", type=_count, default=500)
     _add_report_flags(p)
     p.set_defaults(func=cmd_contain)
 

@@ -400,6 +400,8 @@ class SemSynPartition:
     syn: tuple[int, ...]
     unknown: tuple[int, ...]
     witness_kinds: Mapping[int, str]
+    # Per syn index: the pad k, the delay d or the leaked string.
+    witness_parameters: Mapping[int, str]
 
     def rows(self) -> list[dict[str, object]]:
         parts: dict[int, str] = {}
@@ -415,6 +417,7 @@ class SemSynPartition:
                 "verdict": "In" if n in parts else "not-In",
                 "part": parts.get(n, ""),
                 "witness_kind": self.witness_kinds.get(n, ""),
+                "witness_parameter": self.witness_parameters.get(n, ""),
             }
             for n in self.universe
         ]
@@ -434,6 +437,7 @@ def sem_syn_partition(
     syn: list[int] = []
     unknown: list[int] = []
     witness_kinds: dict[int, str] = {}
+    witness_parameters: dict[int, str] = {}
     for n in universe_tuple:
         m = decode(n)
         if eval_trait(trait, m, bounds) is not Verdict.IN:
@@ -442,6 +446,7 @@ def sem_syn_partition(
         if result.found:
             syn.append(n)
             witness_kinds[n] = result.witness_kind or ""
+            witness_parameters[n] = result.witness_parameter or ""
         elif result.all_in and declared_semantic:
             sem.append(n)
         else:
@@ -453,6 +458,7 @@ def sem_syn_partition(
         syn=tuple(syn),
         unknown=tuple(unknown),
         witness_kinds=witness_kinds,
+        witness_parameters=witness_parameters,
     )
 
 

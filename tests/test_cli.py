@@ -50,6 +50,16 @@ class TestExitCodes:
             ["enumerate", "--show", "-1"],
             ["enumerate", "--pair", "-1", "2"],
             ["enumerate", "--unpair", "-3"],
+            ["run", "--machine", "m.tm", "--fuel", "-1"],
+            ["trace", "--machine", "m.tm", "--fuel", "-1"],
+            ["equiv", "--machine", "m.tm", "--other", "m.tm", "--fuel", "-1"],
+            ["enumerate", "--max", "3", "--fuel", "-1"],
+            ["measure", "--machine", "m.tm", "--fuel", "-1"],
+            ["blum-check", "--max-index", "5", "--fuel", "-1"],
+            ["trait", "--name", "states:3", "--machine", "m.tm", "--fuel", "-1"],
+            ["partition", "--name", "states:3", "--fuel", "-1"],
+            ["prop3", "--fuel", "-1"],
+            ["contain", "--machine", "m.tm", "--policy", "p.json", "--fuel", "-1"],
         ],
     )
     def test_negative_count_flags_exit_two(self, args, capsys):
@@ -71,13 +81,6 @@ class TestRunAndTrace:
         assert "kind=halted-output" in out
         assert "output=ab" in out
         assert "steps=1" in out
-
-    @pytest.mark.parametrize("command", ["run", "trace"])
-    def test_negative_fuel_exits_one(self, machine_file, echo, command, capsys):
-        assert main([command, "--machine", machine_file(echo), "--input", "ab", "--fuel", "-5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
 
     def test_trace_prints_each_configuration(self, machine_file, eraser, capsys):
         assert main(["trace", "--machine", machine_file(eraser), "--input", "ab"]) == 0
@@ -258,6 +261,13 @@ class TestTraitCommands:
         )
         assert code == 0
         assert "sem=0 syn=30 unknown=0" in capsys.readouterr().out
+
+    def test_partition_report_has_a_witness_parameter_column(self, tmp_path):
+        out = tmp_path / "partition.csv"
+        argv = ["partition", "--name", "states:3", "--max-index", "3", "--probes", "1", "--max-len", "1", "--fuel", "50"]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows == ["index,verdict,part,witness_kind,witness_parameter", *(f"{n},In,syn,pad,1" for n in range(3))]
 
     def test_patch_decider_reports_zero_mismatches(self, capsys):
         code = main(["patch-decider", "--l1", "1,3,5", "--l2", "2,3", "--universe-max", "8"])

@@ -16,7 +16,7 @@ from traitbench.containment import (
 )
 from traitbench.machine import run, strings_up_to
 from traitbench.transforms import leaky_wrap
-from util import canonical_machines
+from util import canonical_machines, machine_from_rules, reference_containment
 
 POLICY = ContainmentPolicy(classified=("bb",))
 INPUTS = ("a", "ab", "ba")
@@ -166,3 +166,84 @@ class TestOutcomesAgreeWithRun:
         short = containment_check(marker, self.POLICY, ["b"], steps - 1)
         assert short.unresolved_inputs == ("b",)
         assert short.output_violations == ()
+
+
+@st.composite
+def leak_cases(draw):
+    """A canonical machine, maybe leak-wrapped; 1-3 classified strings over its tape alphabet, blank included; a fuel."""
+    m = draw(canonical_machines(max_states=5, max_sigma=2, max_extras=2))
+    if draw(st.booleans()):
+        m = leaky_wrap(m, draw(st.text("".join(m.input_alphabet), min_size=1, max_size=5)))
+    chi = st.text("".join(m.tape_alphabet), min_size=1, max_size=5)
+    classified = draw(st.lists(chi, min_size=1, max_size=3))
+    return m, ContainmentPolicy(tuple(classified)), draw(st.integers(0, 300))
+
+
+class TestIncrementalScan:
+    """The scan tests only what each step changed; the reference renders every configuration."""
+
+    @staticmethod
+    def leaks(m, classified, sigma, fuel=50):
+        policy = ContainmentPolicy(tuple(classified))
+        report = containment_check(m, policy, [sigma], fuel)
+        assert report == reference_containment(m, policy, [sigma], fuel)
+        return [(v.step, v.classified, v.tape) for v in report.trace_violations]
+
+    @given(leak_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan(self, case):
+        m, policy, fuel = case
+        inputs = list(strings_up_to(m.input_alphabet, 2))
+        report = containment_check(m, policy, inputs, fuel)
+        expected = reference_containment(m, policy, inputs, fuel)
+        assert report.rows() == expected.rows()
+        assert report.verdict is expected.verdict
+
+    def test_a_write_past_a_blank_gap_exposes_a_match_away_from_the_written_cell(self):
+        # On "a": walk right over three blanks and write b at cell 5.
+        m = machine_from_rules(
+            "0 _ -> 1 _ R", "1 a -> 2 a R", "2 _ -> 3 _ R", "3 _ -> 4 _ R", "4 _ -> 5 _ R", "5 _ -> 6 b R", working=6
+        )
+        assert self.leaks(m, ["a_"], "a") == [(6, "a_", "a___b")]
+
+    def test_a_write_left_of_the_tape_exposes_the_gap_to_its_right(self):
+        # On "a": write b at cell -1, leaving cell 0 blank.
+        m = machine_from_rules("0 _ -> 1 _ L", "1 _ -> 3 b R")
+        assert self.leaks(m, ["_a"], "a") == [(2, "_a", "b_a")]
+
+    def test_an_interior_erase_is_a_change(self):
+        m = machine_from_rules("0 _ -> 1 _ R", "1 a -> 2 a R", "2 a -> 3 _ R")
+        assert self.leaks(m, ["a_b"], "aab") == [(3, "a_b", "a_b")]
+
+    def test_an_end_erase_moves_the_bound_the_next_gap_is_measured_from(self):
+        # On "ab": erase the b at cell 2, walk on and write b at cell 5. After
+        # the erase the tape ends at cell 1, so the gap is cells 2..4.
+        m = machine_from_rules(
+            "0 _ -> 1 _ R", "1 a -> 2 a R", "2 b -> 3 _ R", "3 _ -> 4 _ R", "4 _ -> 5 _ R", "5 _ -> 6 b R", working=6
+        )
+        assert self.leaks(m, ["a_"], "ab") == [(6, "a_", "a___b")]
+
+    def test_a_tape_that_empties_is_written_again_from_scratch(self):
+        # On "a": erase it, walk on and write b at cell 3; no blank is left between.
+        m = machine_from_rules("0 _ -> 1 _ R", "1 a -> 2 _ R", "2 _ -> 3 _ R", "3 _ -> 4 b R", working=4)
+        assert self.leaks(m, ["_", "b"], "a") == [(4, "b", "b")]
+
+    def test_a_leak_in_the_input_is_reported_at_step_zero(self):
+        m = machine_from_rules("0 _ -> 3 _ R")
+        # A string listed twice is still reported once.
+        assert self.leaks(m, ["ba", "b_", "ba"], "aba") == [(0, "ba", "aba")]
+
+    def test_each_string_is_reported_once_and_the_outcome_outlives_the_early_stop(self, echo):
+        leaky = leaky_wrap(echo, "aab")
+        policy = policy_from_dict({"classified": ["aaa", "ab"], "unclassified_regex": "b*"})
+        report = containment_check(leaky, policy, ["a"], fuel=500)
+        assert report == reference_containment(leaky, policy, ["a"], 500)
+        first, second = report.trace_violations
+        assert (first.classified, first.tape, second.classified, second.tape) == ("aaa", "aaa", "ab", "aaab")
+        assert 0 < first.step < second.step
+        # The scan stops at the second leak; the outcome is still the halted run's.
+        assert report.output_violations == (OutputViolation("a", "a"),)
+        assert report.unresolved_inputs == ()
+        short = containment_check(leaky, policy, ["a"], fuel=second.step)
+        assert short.trace_violations == report.trace_violations
+        assert (short.unresolved_inputs, short.output_violations) == (("a",), ())

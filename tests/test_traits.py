@@ -290,6 +290,20 @@ class TestPartition:
         assert [seen.count(m) for m in originals] == [1] * 10
         assert len(seen) == 10 + 4 * 3
 
+    def test_rows_carry_each_syn_witness_parameter(self):
+        trait = usage_bounded_trait(time_measure(), parse_bound("n+5"))
+        bounds = Bounds(2, 100)
+        partition = sem_syn_partition(trait, range(150), probes=3, bounds=bounds)
+        kinds = set()
+        for row in partition.rows():
+            if row["part"] == "syn":
+                probe = probe_semanticity(trait, decode(row["index"]), 3, bounds)
+                assert (row["witness_kind"], row["witness_parameter"]) == (probe.witness_kind, probe.witness_parameter)
+                kinds.add(row["witness_kind"])
+            else:
+                assert row["witness_parameter"] == ""
+        assert kinds
+
     def test_nonmembers_are_left_out_of_every_part(self):
         partition = sem_syn_partition(state_count_trait(4), range(20), probes=2, bounds=Bounds(1, 60))
         assert partition.sem == partition.syn == partition.unknown == ()

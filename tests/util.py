@@ -6,8 +6,23 @@ import random
 
 from hypothesis import strategies as st
 
+from traitbench.containment import (
+    ContainmentReport,
+    ContainmentVerdict,
+    OutputViolation,
+    TraceViolation,
+)
 from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE
-from traitbench.machine import BLANK, MachineDescription, RunKind, UndefinedReason, parse_machine
+from traitbench.machine import (
+    BLANK,
+    MachineDescription,
+    RunKind,
+    UndefinedReason,
+    _classify_tape,
+    parse_machine,
+    render_tape,
+    trace,
+)
 
 MOVES = ("L", "R")
 
@@ -41,11 +56,12 @@ def random_canonical_machine(
     )
 
 
-def machine_from_rules(*rules: str) -> MachineDescription:
-    """Working states 0..2, accept 3, reject 4, input alphabet ab; missing rules reject."""
+def machine_from_rules(*rules: str, working: int = 3) -> MachineDescription:
+    """Working states 0..working-1, then accept and reject; input alphabet ab; missing rules reject."""
+    accept, reject = working, working + 1
     given = {rule.split(" -> ")[0] for rule in rules}
-    rest = [f"{q} {s} -> 4 {s} R" for q in range(3) for s in "ab_" if f"{q} {s}" not in given]
-    header = "states: 5\nstart: 0 accept: 3 reject: 4\ninput_alphabet: ab\ntape_alphabet: ab_\n"
+    rest = [f"{q} {s} -> {reject} {s} R" for q in range(working) for s in "ab_" if f"{q} {s}" not in given]
+    header = f"states: {working + 2}\nstart: 0 accept: {accept} reject: {reject}\ninput_alphabet: ab\ntape_alphabet: ab_\n"
     return parse_machine(header + "".join(f"delta: {rule}\n" for rule in (*rules, *rest)))
 
 
@@ -92,3 +108,31 @@ def reference_run(m, sigma, fuel):
         if steps == fuel:
             return configs, RunKind.FUEL_EXHAUSTED, steps, len(visited), None, None
         visited.add(head)
+
+
+def reference_containment(m, policy, inputs, fuel):
+    """containment_check as a full scan: every configuration's tape is rendered and searched."""
+    trace_violations, output_violations, unresolved = [], [], []
+    for sigma in sorted(set(inputs)):
+        configs = trace(m, sigma, fuel)
+        found = set()
+        for step, config in enumerate(configs):
+            rendering = render_tape(config, m.blank)
+            for chi in policy.classified:
+                if chi not in found and chi in rendering:
+                    trace_violations.append(TraceViolation(sigma, step, chi, rendering))
+                    found.add(chi)
+        last = configs[-1]
+        if last.state not in m.halting_states:
+            unresolved.append(sigma)
+            continue
+        output, _ = _classify_tape(m, last.tape)
+        if output is not None and not policy.unclassified(output):
+            output_violations.append(OutputViolation(sigma, output))
+    if trace_violations or output_violations:
+        verdict = ContainmentVerdict.VIOLATED
+    elif unresolved:
+        verdict = ContainmentVerdict.INCONCLUSIVE
+    else:
+        verdict = ContainmentVerdict.CONTAINED
+    return ContainmentReport(verdict, tuple(trace_violations), tuple(output_violations), tuple(unresolved))
