@@ -55,9 +55,13 @@ def _report_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
+def _write(args: argparse.Namespace, rows, columns) -> None:
+    write_report(args.out, rows, columns, args.format or "csv", _report_config(args))
+
+
 def _emit(args: argparse.Namespace, rows, columns) -> None:
     if args.out:
-        write_report(args.out, rows, columns, args.format, _report_config(args))
+        _write(args, rows, columns)
     else:
         for row in rows:
             # None prints nothing, as it writes an empty CSV cell.
@@ -119,8 +123,7 @@ def cmd_enumerate(args) -> int:
     for n in indices:
         decode(n)
     if args.out:
-        rows = [{"index": n, "verdict": "valid"} for n in indices]
-        write_report(args.out, rows, ["index", "verdict"], args.format, _report_config(args))
+        _write(args, [{"index": n, "verdict": "valid"} for n in indices], ["index", "verdict"])
     print(f"{len(indices)} machines valid")
     return 0
 
@@ -179,7 +182,7 @@ def cmd_measure(args) -> int:
             for sigma, value in verdict.evidence
         ]
         if args.out:
-            write_report(args.out, rows, ["machine_index", "input", "measure", "value", "verdict"], args.format, _report_config(args))
+            _write(args, rows, ["machine_index", "input", "measure", "value", "verdict"])
         print(verdict.kind.value + (f" witness={verdict.witness}" if verdict.witness else ""))
         return 0
     if args.graph is not None:
@@ -286,7 +289,16 @@ def _count(text: str) -> int:
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write a report file instead of printing rows")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="report file format")
+    p.add_argument("--format", choices=("csv", "jsonl"), help="report file format (default csv)")
+
+
+def _prints_only(args: argparse.Namespace) -> bool:
+    """Whether the chosen mode prints its answer and writes no report."""
+    if args.command == "enumerate":
+        return args.show is not None or args.pair is not None or args.unpair is not None
+    if args.command == "measure":
+        return not args.discriminate and args.xi is None
+    return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,9 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=sorted(MEASURES), default="time")
     p.add_argument("--input", default="")
     p.add_argument("--fuel", type=_count, default=1000)
-    p.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
-    p.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
-    p.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
+    mode.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
+    mode.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
     p.add_argument("--trials", type=_count, default=5)
     p.add_argument("--max-len", type=_count, default=3)
     _add_report_flags(p)
@@ -421,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if _prints_only(args) and (args.out is not None or args.format is not None):
+        parser.error(f"{args.command}: this mode prints its answer and writes no report, so --out and --format do not apply")
+    if getattr(args, "format", None) is not None and args.out is None:
+        parser.error("--format applies only to the report that --out writes")
     try:
         return args.func(args)
     except (MachineError, ValueError, OSError) as exc:

@@ -78,14 +78,12 @@ def policy_from_dict(data: dict) -> ContainmentPolicy:
     classified = tuple(listed)
     pattern = data.get("unclassified_regex")
     if pattern is None:
-        predicate = _substring_free(classified)
-    else:
-        try:
-            compiled = re.compile(pattern)
-        except (re.error, TypeError) as exc:
-            raise ValueError(f"unclassified_regex {pattern!r} is not a valid regular expression: {exc}") from None
-        predicate = lambda s: compiled.fullmatch(s) is not None
-    return ContainmentPolicy(classified, predicate)
+        return ContainmentPolicy(classified)
+    try:
+        compiled = re.compile(pattern)
+    except (re.error, TypeError) as exc:
+        raise ValueError(f"unclassified_regex {pattern!r} is not a valid regular expression: {exc}") from None
+    return ContainmentPolicy(classified, lambda s: compiled.fullmatch(s) is not None)
 
 
 def load_policy(path: str | Path) -> ContainmentPolicy:

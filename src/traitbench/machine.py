@@ -2,12 +2,12 @@
 
 A machine halts by entering its accept or reject state. Its observable
 behaviour is the partial string function computed this way: if the machine
-halts and the tape holds a nonempty string of input-alphabet symbols (read
-left to right, ignoring blanks outside that segment), that string is the
-output; a blank tape or a non-halting run leave the function undefined at
-that input. A halt with some non-input symbol still on the tape is also
-treated as undefined, and the run outcome records which of the two cases
-occurred.
+halts and every non-blank cell holds an input-alphabet symbol, the output is
+those symbols read left to right, with every blank cell skipped, between
+them as well as around them (a halt on tape a_b computes ab); a blank tape
+or a non-halting run leave the function undefined at that input. A halt
+with some non-input symbol still on the tape is also treated as undefined,
+and the run outcome records which of the two cases occurred.
 
 Every evaluation here is fuel-bounded: the caller supplies a maximum step
 count and gets back a three-way outcome (halted with output, halted
@@ -55,7 +55,14 @@ Rule = tuple[int, str, int, str, str]
 
 
 class MachineError(Exception):
-    """Raised for invalid machine descriptions, inputs, or evaluation misuse."""
+    """Raised for invalid machine descriptions, inputs, or evaluation misuse.
+
+    `rule` is the (state, read symbol) of the one rule at fault, else None.
+    """
+
+    def __init__(self, message: str, rule: tuple[int, str] | None = None):
+        self.rule = rule
+        super().__init__(message)
 
 
 class ParseError(MachineError):
@@ -132,16 +139,16 @@ def _validate(m: MachineDescription) -> None:
     seen: set[tuple[int, str]] = set()
     for q, s, q2, w, mv in m.transitions:
         if (q, s) in seen:
-            raise MachineError(f"duplicate rule for state {q} reading {s!r}")
+            raise MachineError(f"duplicate rule for state {q} reading {s!r}", (q, s))
         seen.add((q, s))
         if q in halting:
-            raise MachineError(f"state {q} is halting and must not take transitions")
+            raise MachineError(f"state {q} is halting and must not take transitions", (q, s))
         if not 0 <= q < m.state_count or not 0 <= q2 < m.state_count:
-            raise MachineError(f"rule ({q}, {s!r}) references a state out of range")
+            raise MachineError(f"rule ({q}, {s!r}) references a state out of range", (q, s))
         if s not in tape_set or w not in tape_set:
-            raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet")
+            raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet", (q, s))
         if mv not in (LEFT, RIGHT):
-            raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}")
+            raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", (q, s))
     for q in m.working_states():
         for s in m.tape_alphabet:
             if (q, s) not in seen:
@@ -390,7 +397,9 @@ def equiv_bounded(a: MachineDescription, b: MachineDescription, max_len: int, fu
 # tape_alphabet: ab_
 # delta: 0 a -> 1 a R        (one line per pair; the table must be total)
 #
-# '#' starts a comment line. The blank is always written '_'.
+# '#' starts a comment line. The blank is always written '_'. The parser reads
+# only the syntax; MachineDescription checks the machine, and a fault in one
+# rule is reported at that rule's line (a duplicate at its later one).
 
 
 def parse_machine(text: str) -> MachineDescription:
@@ -442,8 +451,8 @@ def parse_machine(text: str) -> MachineDescription:
         raise ParseError(f"input alphabet must not include the blank symbol {BLANK!r}", number)
 
     rules: list[Rule] = []
-    seen: dict[tuple[int, str], int] = {}
-    tape_set = set(tape_alphabet)
+    # The line of each (state, read symbol); a duplicate keeps its later line.
+    rule_lines: dict[tuple[int, str], int] = {}
     while cursor < len(lines):
         number, line = next_line("a 'delta:' rule")
         if not line.startswith("delta:"):
@@ -453,30 +462,10 @@ def parse_machine(text: str) -> MachineDescription:
         if len(parts) != 6 or parts[2] != "->":
             raise ParseError("malformed rule, expected '<state> <symbol> -> <state> <symbol> <L|R>'", number)
         q = _parse_int(parts[0], "state", number)
-        read = parts[1]
         q2 = _parse_int(parts[3], "state", number)
-        written = parts[4]
-        move = parts[5]
-        for sym in (read, written):
-            if len(sym) != 1 or sym not in tape_set:
-                raise ParseError(f"symbol {sym!r} is not in the tape alphabet", number)
-        if move not in (LEFT, RIGHT):
-            raise ParseError(f"move must be {LEFT} or {RIGHT}, got {move!r}", number)
-        if not 0 <= q < state_count or not 0 <= q2 < state_count:
-            raise ParseError(f"rule references a state outside 0..{state_count - 1}", number)
-        if (q, read) in seen:
-            raise ParseError(f"duplicate rule for state {q} reading {read!r} (first at line {seen[(q, read)]})", number)
-        seen[(q, read)] = number
-        rules.append((q, read, q2, written, move))
+        rule_lines[(q, parts[1])] = number
+        rules.append((q, parts[1], q2, parts[4], parts[5]))
 
-    last_line = lines[-1][0]
-    halting = {roles["accept"], roles["reject"]}
-    for q in range(state_count):
-        if q in halting:
-            continue
-        for sym in tape_alphabet:
-            if (q, sym) not in seen:
-                raise ParseError(f"transition table is not total: no rule for state {q} reading {sym!r}", last_line)
     try:
         return MachineDescription(
             state_count=state_count,
@@ -489,7 +478,7 @@ def parse_machine(text: str) -> MachineDescription:
             transitions=tuple(rules),
         )
     except MachineError as exc:
-        raise ParseError(str(exc), last_line) from exc
+        raise ParseError(str(exc), rule_lines.get(exc.rule, lines[-1][0])) from exc
 
 
 def _parse_role_fields(line: str, number: int) -> list[tuple[str, int]]:

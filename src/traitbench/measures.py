@@ -77,7 +77,7 @@ def _space_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     repeats nothing halts within pigeonhole_step_bound steps, and the fuel
     is one more than that, so this always terminates. No cost is negative.
     """
-    if n < 0 or any(sym not in m.input_alphabet for sym in sigma):
+    if n < 0:
         return False
     outcome = _simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, space_limit=n)
     return outcome.kind is RunKind.HALTED_OUTPUT and outcome.space == n

@@ -68,6 +68,13 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "expected a nonnegative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, mode", [("run", []), ("trace", []), ("measure", ["--xi", "n"])])
+    def test_format_without_out_exits_two(self, machine_file, echo, command, mode, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--machine", machine_file(echo), *mode, "--format", "jsonl"])
+        assert info.value.code == 2
+        assert "--format applies only" in capsys.readouterr().err
+
     def test_domain_error_inside_a_command_exits_one(self, machine_file, echo, capsys):
         path = machine_file(echo)
         assert main(["delay", "--machine", path, "--d", "3", "--out", path + ".out"]) == 1
@@ -165,6 +172,16 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["--show", "3"], ["--pair", "1", "2"], ["--unpair", "5"]])
+    @pytest.mark.parametrize("flag", ["--out", "--format"])
+    def test_print_only_modes_reject_report_flags(self, mode, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", *mode, flag, str(out) if flag == "--out" else "jsonl"])
+        assert exc.value.code == 2
+        assert "writes no report" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTransformCommands:
     def test_pad_writes_machine_and_receipt(self, machine_file, echo, tmp_path, capsys):
@@ -217,6 +234,32 @@ class TestMeasure:
         args = ["measure", "--measure", "space", "--machine", machine_file(many_states), "--input", "a", "--graph", "-3"]
         assert main(args) == 0
         assert capsys.readouterr().out.strip() == "False"
+
+    @pytest.mark.parametrize("measure", ["time", "space"])
+    def test_graph_mode_rejects_an_input_outside_the_alphabet(self, machine_file, echo, measure, capsys):
+        args = ["measure", "--measure", measure, "--machine", machine_file(echo), "--input", "zz", "--graph", "1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.strip() == "error: input symbol 'z' is not in the input alphabet"
+
+    @pytest.mark.parametrize(
+        "modes",
+        [["--graph", "1", "--xi", "n"], ["--graph", "1", "--discriminate"], ["--xi", "n", "--discriminate"]],
+    )
+    def test_modes_are_mutually_exclusive(self, machine_file, echo, modes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--machine", machine_file(echo), "--input", "a", *modes])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--graph", "1"]], ids=["evaluate", "graph"])
+    @pytest.mark.parametrize("flag", ["--out", "--format"])
+    def test_print_only_modes_reject_report_flags(self, machine_file, echo, mode, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--machine", machine_file(echo), "--input", "a", *mode, flag, str(out) if flag == "--out" else "jsonl"])
+        assert exc.value.code == 2
+        assert "writes no report" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bound_check_prints_the_verdict(self, machine_file, echo, capsys):
         assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--max-len", "2"]) == 0

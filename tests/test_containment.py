@@ -42,6 +42,13 @@ class TestPolicy:
         assert policy.unclassified("aaa")
         assert not policy.unclassified("ab")
 
+    def test_from_dict_without_regex_is_the_default_policy(self):
+        policy = policy_from_dict({"classified": ["bb", "a_b"]})
+        default = ContainmentPolicy(("bb", "a_b"))
+        assert policy.classified == default.classified
+        for s in ("", "ab", "abb", "a_b", "a__b", "ba_ba"):
+            assert policy.unclassified(s) == default.unclassified(s)
+
     def test_from_dict_rejects_a_missing_classified_list(self):
         with pytest.raises(ValueError, match="classified"):
             policy_from_dict({"unclassified_regex": "a*"})

@@ -50,6 +50,13 @@ class TestRun:
         assert outcome.reason is UndefinedReason.BLANK_TAPE
         assert (outcome.steps, outcome.space) == (4, 4)
 
+    def test_output_skips_interior_blanks(self):
+        # Halts on tape a_b: the output joins the non-blank cells.
+        m = machine_from_rules("0 _ -> 1 _ R", "1 a -> 2 a R", "2 b -> 3 _ R", "3 _ -> 4 b R", working=4)
+        outcome = run(m, "ab", 10)
+        assert render_tape(trace(m, "ab", 10)[-1]) == "a_b"
+        assert (outcome.kind, outcome.output, outcome.steps) == (RunKind.HALTED_OUTPUT, "ab", 4)
+
     def test_marker_prepends_a_symbol(self, marker):
         assert run(marker, "", 100).output == "a"
         assert run(marker, "ab", 100).output == "aab"
@@ -304,6 +311,19 @@ class TestEquivBounded:
             equiv_bounded(echo, other, 2, 100)
 
 
+# Six header lines, so the rules start at line 7; TOTAL is a total table.
+HEADER = "states: 4\nstart: 0\naccept: {accept}\nreject: {reject}\ninput_alphabet: a\ntape_alphabet: a_\n"
+TOTAL = ("0 a -> 1 a R", "0 _ -> 1 _ R", "1 a -> 2 a R", "1 _ -> 2 _ R")
+
+
+def constructor_message(rules, accept=2, reject=3):
+    """The message MachineDescription raises for the machine the text describes."""
+    transitions = tuple((int(q), s, int(q2), w, mv) for q, s, _, q2, w, mv in (rule.split() for rule in rules))
+    with pytest.raises(MachineError) as info:
+        MachineDescription(4, 0, accept, reject, ("a",), ("a", "_"), "_", transitions)
+    return str(info.value)
+
+
 class TestParseFormat:
     def test_fixture_files_round_trip(self):
         for m in all_fixtures().values():
@@ -344,6 +364,32 @@ class TestParseFormat:
             "delta: 0 _ -> 1 _ R\n"
         )
         with pytest.raises(MachineError):
+            parse_machine(text)
+
+    @pytest.mark.parametrize(
+        "rules, line",
+        [
+            pytest.param((*TOTAL[:2], "0 a -> 2 a L", *TOTAL[2:]), 9, id="duplicate"),
+            pytest.param(("2 a -> 1 a R", *TOTAL), 7, id="halting-state"),
+            pytest.param((TOTAL[0], "0 _ -> 9 _ R", *TOTAL[2:]), 8, id="state-out-of-range"),
+            pytest.param((*TOTAL[:2], "1 a -> 2 b R", TOTAL[3]), 9, id="written-symbol-outside-tape"),
+            pytest.param((*TOTAL[:2], "1 b -> 2 a R", TOTAL[3]), 9, id="read-symbol-outside-tape"),
+            pytest.param((TOTAL[0], "0 _ -> 1 _ X", *TOTAL[2:]), 8, id="bad-move"),
+            pytest.param(TOTAL[:3], 9, id="missing-rule"),
+        ],
+    )
+    def test_rule_fault_names_its_line(self, rules, line):
+        text = HEADER.format(accept=2, reject=3) + "".join(f"delta: {rule}\n" for rule in rules)
+        with pytest.raises(ParseError) as info:
+            parse_machine(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {constructor_message(rules)}"
+
+    @pytest.mark.parametrize("accept, reject, message", [(7, 3, "accept state 7 is out of range 0..3"), (3, 3, "accept and reject must be distinct states")])
+    def test_role_fault_gives_the_constructor_message(self, accept, reject, message):
+        text = HEADER.format(accept=accept, reject=reject) + "".join(f"delta: {rule}\n" for rule in TOTAL)
+        assert constructor_message(TOTAL, accept, reject) == message
+        with pytest.raises(ParseError, match=f"^line 10: {message}$"):
             parse_machine(text)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.machine import strings_up_to
+from traitbench.machine import MachineError, strings_up_to
 from traitbench.measures import (
     MEASURES,
     BoundCheckKind,
@@ -48,6 +48,11 @@ class TestTimeMeasure:
             for m, sigma in ((echo, "ab"), (many_states, "a")):
                 for n in (-1, -2, -3, -10):
                     assert not measure.graph_decide(m, sigma, n), (m.state_count, n)
+
+    @pytest.mark.parametrize("measure", [time_measure(), space_measure()], ids=["time", "space"])
+    def test_graph_rejects_an_input_outside_the_alphabet(self, echo, measure):
+        with pytest.raises(MachineError, match="input symbol 'z' is not in the input alphabet"):
+            measure.graph_decide(echo, "zz", 1)
 
     def test_graph_rejects_everywhere_for_undefined_pairs(self, eraser):
         time = time_measure()
