@@ -292,13 +292,53 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "jsonl"), help="report file format (default csv)")
 
 
-def _prints_only(args: argparse.Namespace) -> bool:
-    """Whether the chosen mode prints its answer and writes no report."""
+# The flags that only some modes of a command read, with their defaults, and
+# the modes that read each. The parser leaves them None when omitted, so that
+# main can refuse one given to a mode that ignores it, then fills these in.
+# --out and --format are read only by the modes that write a report.
+_MODE_FLAGS = {
+    "enumerate": {
+        "max": (1000, {"validate", "reference"}),
+        "max_len": (2, {"reference"}),
+        "fuel": (100, {"reference"}),
+    },
+    "measure": {
+        "input": ("", {"evaluate", "graph"}),
+        "fuel": (1000, {"evaluate", "xi", "discriminate"}),
+        "trials": (5, {"discriminate"}),
+        "max_len": (3, {"xi", "discriminate"}),
+    },
+}
+_REPORT_MODES = {"validate", "reference", "xi", "discriminate"}
+
+
+def _mode(args: argparse.Namespace) -> str:
+    """The chosen mode of enumerate or measure: the mode flag given, else the default mode."""
     if args.command == "enumerate":
-        return args.show is not None or args.pair is not None or args.unpair is not None
-    if args.command == "measure":
-        return not args.discriminate and args.xi is None
-    return False
+        modes, default = ("show", "reference", "pair", "unpair"), "validate"
+    else:
+        modes, default = ("graph", "xi", "discriminate"), "evaluate"
+    return next((mode for mode in modes if getattr(args, mode) not in (None, False)), default)
+
+
+def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse flags that the chosen mode does not read, then fill in the defaults of the rest."""
+    flags = _MODE_FLAGS.get(args.command)
+    if flags is None:
+        return
+    mode = _mode(args)
+    if mode not in _REPORT_MODES and (args.out is not None or args.format is not None):
+        parser.error(f"{args.command}: this mode prints its answer and writes no report, so --out and --format do not apply")
+    unread = ["--" + flag.replace("_", "-") for flag, (_, modes) in flags.items() if mode not in modes and getattr(args, flag) is not None]
+    if unread:
+        parser.error(f"{args.command}: the {mode} mode does not read {', '.join(unread)}")
+    for flag, (default, _) in flags.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
+def _default(command: str, flag: str) -> str:
+    return f"(default {_MODE_FLAGS[command][flag][0]!r})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,15 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("enumerate", help="decode, validate, or sweep the machine index space")
-    p.add_argument("--max", type=_count, default=1000, help="number of indices to cover")
+    p.add_argument("--max", type=_count, help=f"number of indices to cover {_default('enumerate', 'max')}")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--validate", action="store_true", help="decode and validate indices 0..max-1 (the default)")
     mode.add_argument("--show", type=_count, help="print the machine at one index")
     mode.add_argument("--reference", help="machine file; partition indices 0..max-1 by bounded equivalence with it")
     mode.add_argument("--pair", type=_count, nargs=2, metavar=("A", "B"), help="print the pairing of two naturals")
     mode.add_argument("--unpair", type=_count, help="print the two naturals a code pairs")
-    p.add_argument("--max-len", type=_count, default=2)
-    p.add_argument("--fuel", type=_count, default=100)
+    p.add_argument("--max-len", type=_count, help=f"longest input compared, with --reference {_default('enumerate', 'max_len')}")
+    p.add_argument("--fuel", type=_count, help=f"steps per run, with --reference {_default('enumerate', 'fuel')}")
     _add_report_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -370,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate a resource measure, its graph, bounds, or witnesses")
     p.add_argument("--machine", required=True)
     p.add_argument("--measure", choices=sorted(MEASURES), default="time")
-    p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=_count, default=1000)
+    p.add_argument("--input", help=f"the input, without --xi and --discriminate {_default('measure', 'input')}")
+    p.add_argument("--fuel", type=_count, help=f"steps per run, without --graph {_default('measure', 'fuel')}")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
     mode.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
     mode.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
-    p.add_argument("--trials", type=_count, default=5)
-    p.add_argument("--max-len", type=_count, default=3)
+    p.add_argument("--trials", type=_count, help=f"delays tried, with --discriminate {_default('measure', 'trials')}")
+    p.add_argument("--max-len", type=_count, help=f"longest input, with --xi or --discriminate {_default('measure', 'max_len')}")
     _add_report_flags(p)
     p.set_defaults(func=cmd_measure)
 
@@ -434,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if _prints_only(args) and (args.out is not None or args.format is not None):
-        parser.error(f"{args.command}: this mode prints its answer and writes no report, so --out and --format do not apply")
+    _check_mode_flags(parser, args)
     if getattr(args, "format", None) is not None and args.out is None:
         parser.error("--format applies only to the report that --out writes")
     try:

@@ -33,6 +33,12 @@ is fast-forwarded: it returns the same fuel-exhausted outcome, steps and
 space included, that stepping to the fuel would, without taking the
 remaining steps; `_simulate` gives the space formulas. The space graph runs
 with the certificates on; `trace` still steps through every configuration.
+
+A trace holds each configuration's tape as a compact immutable snapshot:
+one string over the cells written so far, blanks included, read as the
+Mapping of its non-blank cells. A step that changes no symbol shares its
+predecessor's snapshot, and one that does copies the string once, so a
+trace costs about a byte per cell per step, not a dict entry per cell.
 """
 
 from __future__ import annotations
@@ -57,11 +63,12 @@ Rule = tuple[int, str, int, str, str]
 class MachineError(Exception):
     """Raised for invalid machine descriptions, inputs, or evaluation misuse.
 
-    `rule` is the (state, read symbol) of the one rule at fault, else None.
+    `rules` are the rules at fault: the one faulty rule, both rules of a
+    duplicate, or none.
     """
 
-    def __init__(self, message: str, rule: tuple[int, str] | None = None):
-        self.rule = rule
+    def __init__(self, message: str, *rules: Rule):
+        self.rules = rules
         super().__init__(message)
 
 
@@ -136,19 +143,20 @@ def _validate(m: MachineDescription) -> None:
         raise MachineError(f"input symbols {missing} are missing from the tape alphabet")
 
     halting = m.halting_states
-    seen: set[tuple[int, str]] = set()
-    for q, s, q2, w, mv in m.transitions:
+    seen: dict[tuple[int, str], Rule] = {}
+    for rule in m.transitions:
+        q, s, q2, w, mv = rule
         if (q, s) in seen:
-            raise MachineError(f"duplicate rule for state {q} reading {s!r}", (q, s))
-        seen.add((q, s))
+            raise MachineError(f"duplicate rule for state {q} reading {s!r}", seen[(q, s)], rule)
+        seen[(q, s)] = rule
         if q in halting:
-            raise MachineError(f"state {q} is halting and must not take transitions", (q, s))
+            raise MachineError(f"state {q} is halting and must not take transitions", rule)
         if not 0 <= q < m.state_count or not 0 <= q2 < m.state_count:
-            raise MachineError(f"rule ({q}, {s!r}) references a state out of range", (q, s))
+            raise MachineError(f"rule ({q}, {s!r}) references a state out of range", rule)
         if s not in tape_set or w not in tape_set:
-            raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet", (q, s))
+            raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet", rule)
         if mv not in (LEFT, RIGHT):
-            raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", (q, s))
+            raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", rule)
     for q in m.working_states():
         for s in m.tape_alphabet:
             if (q, s) not in seen:
@@ -197,6 +205,56 @@ class Configuration:
     state: int
     head: int
     tape: Mapping[int, str]
+
+
+class _Snapshot(Mapping[int, str]):
+    """An immutable tape: cells base .. base + len(cells) - 1 in one string.
+
+    The string holds blanks too, but as a Mapping the snapshot holds only the
+    non-blank cells, as a dict tape does; every cell outside it is blank.
+    """
+
+    __slots__ = ("base", "cells", "blank")
+
+    def __init__(self, base: int, cells: str, blank: str):
+        self.base = base
+        self.cells = cells
+        self.blank = blank
+
+    def get(self, cell: int, default: str | None = None) -> str | None:
+        i = cell - self.base
+        if 0 <= i < len(self.cells) and self.cells[i] != self.blank:
+            return self.cells[i]
+        return default
+
+    def __getitem__(self, cell: int) -> str:
+        symbol = self.get(cell)
+        if symbol is None:
+            raise KeyError(cell)
+        return symbol
+
+    def __iter__(self) -> Iterator[int]:
+        return (self.base + i for i, symbol in enumerate(self.cells) if symbol != self.blank)
+
+    def __len__(self) -> int:
+        return len(self.cells) - self.cells.count(self.blank)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def write(self, cell: int, symbol: str) -> _Snapshot:
+        """The tape after writing symbol at cell: self if that changes nothing, else a new snapshot."""
+        cells, blank = self.cells, self.blank
+        i = cell - self.base
+        if 0 <= i < len(cells):
+            if cells[i] == symbol:
+                return self
+            return _Snapshot(self.base, cells[:i] + symbol + cells[i + 1:], blank)
+        if symbol == blank:
+            return self
+        if i < 0:
+            return _Snapshot(cell, symbol + blank * (-i - 1) + cells, blank)
+        return _Snapshot(self.base, cells + blank * (i - len(cells)) + symbol, blank)
 
 
 def _check_input(m: MachineDescription, input_string: str) -> None:
@@ -264,9 +322,14 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     # a record break, and the steps of later records in that direction.
     record_state = record_step = record_head = record_tape = record_right = None
     later_records: list[int] = []
+    if configs is not None:
+        snapshot = _Snapshot(1, input_string, blank)
     while True:
         if configs is not None:
-            configs.append(Configuration(state, head, dict(tape)))
+            if steps:
+                # The previous step wrote the cell the head has just left.
+                snapshot = snapshot.write(head - 1 if move == RIGHT else head + 1, written)
+            configs.append(Configuration(state, head, snapshot))
         if state in halting:
             output, reason = _classify_tape(m, tape)
             kind = RunKind.HALTED_UNDEFINED if output is None else RunKind.HALTED_OUTPUT
@@ -336,6 +399,10 @@ def trace(m: MachineDescription, input_string: str, fuel: int) -> list[Configura
 
 def render_tape(config: Configuration, blank: str = BLANK) -> str:
     """The contiguous tape content from leftmost to rightmost non-blank cell."""
+    if isinstance(config.tape, _Snapshot):
+        # A trace's tape already holds that content, padded with its own blank.
+        own = config.tape.blank
+        return config.tape.cells.strip(own).replace(own, blank)
     if not config.tape:
         return ""
     lo = min(config.tape)
@@ -399,7 +466,7 @@ def equiv_bounded(a: MachineDescription, b: MachineDescription, max_len: int, fu
 #
 # '#' starts a comment line. The blank is always written '_'. The parser reads
 # only the syntax; MachineDescription checks the machine, and a fault in one
-# rule is reported at that rule's line (a duplicate at its later one).
+# rule is reported at that rule's line (a duplicate at the later of its two).
 
 
 def parse_machine(text: str) -> MachineDescription:
@@ -451,8 +518,8 @@ def parse_machine(text: str) -> MachineDescription:
         raise ParseError(f"input alphabet must not include the blank symbol {BLANK!r}", number)
 
     rules: list[Rule] = []
-    # The line of each (state, read symbol); a duplicate keeps its later line.
-    rule_lines: dict[tuple[int, str], int] = {}
+    # The line of each rule; a rule listed twice keeps its later line.
+    rule_lines: dict[Rule, int] = {}
     while cursor < len(lines):
         number, line = next_line("a 'delta:' rule")
         if not line.startswith("delta:"):
@@ -463,8 +530,9 @@ def parse_machine(text: str) -> MachineDescription:
             raise ParseError("malformed rule, expected '<state> <symbol> -> <state> <symbol> <L|R>'", number)
         q = _parse_int(parts[0], "state", number)
         q2 = _parse_int(parts[3], "state", number)
-        rule_lines[(q, parts[1])] = number
-        rules.append((q, parts[1], q2, parts[4], parts[5]))
+        rule = (q, parts[1], q2, parts[4], parts[5])
+        rule_lines[rule] = number
+        rules.append(rule)
 
     try:
         return MachineDescription(
@@ -478,7 +546,7 @@ def parse_machine(text: str) -> MachineDescription:
             transitions=tuple(rules),
         )
     except MachineError as exc:
-        raise ParseError(str(exc), rule_lines.get(exc.rule, lines[-1][0])) from exc
+        raise ParseError(str(exc), max(map(rule_lines.__getitem__, exc.rules), default=lines[-1][0])) from exc
 
 
 def _parse_role_fields(line: str, number: int) -> list[tuple[str, int]]:

@@ -182,6 +182,29 @@ class TestEnumerate:
         assert "writes no report" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            (["--show", "3"], ["--fuel", "5", "--max-len", "9", "--max", "2"], "the show mode does not read --max, --max-len, --fuel"),
+            (["--pair", "1", "2"], ["--max", "2"], "the pair mode does not read --max"),
+            (["--unpair", "5"], ["--fuel", "5"], "the unpair mode does not read --fuel"),
+            (["--validate"], ["--max-len", "2"], "the validate mode does not read --max-len"),
+            ([], ["--fuel", "100"], "the validate mode does not read --fuel"),
+        ],
+        ids=["show", "pair", "unpair", "validate", "default-validate"],
+    )
+    def test_flags_the_mode_does_not_read_exit_two(self, mode, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", *mode, *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_omitted_flags_take_their_defaults(self, tmp_path):
+        out = tmp_path / "valid.csv"
+        assert main(["enumerate", "--max", "1", "--out", str(out)]) == 0
+        header = json.loads(out.read_text().splitlines()[0][2:])
+        assert (header["config"]["max_len"], header["config"]["fuel"]) == (2, 100)
+
 
 class TestTransformCommands:
     def test_pad_writes_machine_and_receipt(self, machine_file, echo, tmp_path, capsys):
@@ -260,6 +283,22 @@ class TestMeasure:
         assert exc.value.code == 2
         assert "writes no report" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            (["--graph", "1"], ["--fuel", "0", "--trials", "9", "--max-len", "7"], "the graph mode does not read --fuel, --trials, --max-len"),
+            (["--xi", "n"], ["--input", "a", "--trials", "2"], "the xi mode does not read --input, --trials"),
+            (["--discriminate"], ["--input", "a"], "the discriminate mode does not read --input"),
+            ([], ["--input", "a", "--max-len", "3"], "the evaluate mode does not read --max-len"),
+        ],
+        ids=["graph", "xi", "discriminate", "evaluate"],
+    )
+    def test_flags_the_mode_does_not_read_exit_two(self, machine_file, echo, mode, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--machine", machine_file(echo), *mode, *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_bound_check_prints_the_verdict(self, machine_file, echo, capsys):
         assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--max-len", "2"]) == 0

@@ -1,11 +1,14 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench.fixtures import all_fixtures
 from traitbench.machine import (
+    Configuration,
     EquivKind,
     MachineDescription,
     MachineError,
@@ -20,7 +23,7 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from util import canonical_machines, machine_from_rules, reference_run
+from util import canonical_machines, machine_from_rules, reference_configs, reference_run
 
 
 class TestRun:
@@ -252,6 +255,46 @@ class TestTrace:
         configs = trace(eraser, "ab", 0)
         assert [(c.state, c.head, dict(c.tape)) for c in configs] == [(eraser.start_state, 0, {1: "a", 2: "b"})]
 
+    def test_snapshots_match_the_reference_tapes(self):
+        # On aba: erase the leftmost and the rightmost cell, write past the
+        # right end, rewrite across the blank gaps, then write past the left
+        # end. Steps 1, 3, 5, 7 and 11 write a blank off the tape or a cell's
+        # own symbol, so they change nothing.
+        m = machine_from_rules(
+            "0 _ -> 1 _ R", "1 a -> 2 _ R", "2 b -> 3 b R", "3 a -> 4 _ R", "4 _ -> 5 _ R", "5 _ -> 6 a L",
+            "6 _ -> 7 _ L", "7 _ -> 8 b L", "8 b -> 9 _ L", "9 _ -> 10 a L", "10 _ -> 11 _ L", "11 _ -> 12 b R",
+            working=12,
+        )
+        configs = trace(m, "aba", 100)
+        expected = [tape for _, _, tape in reference_configs(m, "aba")]
+        assert len(configs) == len(expected) == 13
+        for config, tape in zip(configs, expected):
+            assert dict(config.tape) == tape
+            assert config.tape == tape and tape == config.tape
+            assert list(config.tape) == sorted(tape)
+            assert len(config.tape) == len(tape)
+            for cell in range(-3, 8):
+                assert (cell in config.tape) == (cell in tape)
+                assert config.tape.get(cell) == tape.get(cell)
+                assert config.tape.get(cell, "_") == tape.get(cell, "_")
+            assert render_tape(config) == render_tape(Configuration(config.state, config.head, tape))
+        assert render_tape(configs[-1]) == "b_a_b_a"
+        shared = [step for step in range(1, len(configs)) if configs[step].tape is configs[step - 1].tape]
+        assert shared == [1, 3, 5, 7, 11]
+
+    def test_trace_memory_is_about_a_byte_per_cell_per_step(self):
+        # A runaway writer fills one more cell each step, so a trace of fuel
+        # 2,000 holds about 2,000**2 / 2 cells: 2 MB as strings, 77 MB as dicts.
+        writer = machine_from_rules("0 a -> 0 a R", "0 b -> 0 a R", "0 _ -> 0 a R", working=1)
+        tracemalloc.start()
+        try:
+            configs = trace(writer, "ab", 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(configs) == 2001
+        assert peak < 8 * 2**20
+
     def test_render_tape_shows_contiguous_nonblank_extent(self, eraser):
         configs = trace(eraser, "ab", 100)
         assert render_tape(configs[0]) == "ab"
@@ -260,8 +303,6 @@ class TestTrace:
     def test_render_tape_bridges_interior_blanks(self, marker):
         # Marker writes 'a' at the start cell next to the input, so content
         # stays contiguous; check a gap renders as a blank instead.
-        from traitbench.machine import Configuration
-
         config = Configuration(state=0, head=0, tape={0: "a", 2: "b"})
         assert render_tape(config) == "a_b"
 
@@ -370,6 +411,11 @@ class TestParseFormat:
         "rules, line",
         [
             pytest.param((*TOTAL[:2], "0 a -> 2 a L", *TOTAL[2:]), 9, id="duplicate"),
+            # The rule that sorts second, where the duplicate is found, is on the earlier line.
+            pytest.param(("0 a -> 2 a L", TOTAL[1], TOTAL[0], *TOTAL[2:]), 9, id="duplicate-sorting-second-listed-first"),
+            pytest.param((TOTAL[0], TOTAL[1], TOTAL[0], *TOTAL[2:]), 9, id="duplicate-identical"),
+            # A faulty rule that sorts first is named at its own line, not at its duplicate's.
+            pytest.param(("0 a -> 0 a X", TOTAL[1], TOTAL[0], *TOTAL[2:]), 7, id="bad-move-with-a-duplicate"),
             pytest.param(("2 a -> 1 a R", *TOTAL), 7, id="halting-state"),
             pytest.param((TOTAL[0], "0 _ -> 9 _ R", *TOTAL[2:]), 8, id="state-out-of-range"),
             pytest.param((*TOTAL[:2], "1 a -> 2 b R", TOTAL[3]), 9, id="written-symbol-outside-tape"),
