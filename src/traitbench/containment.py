@@ -14,16 +14,19 @@ intermediate tape contents leak, and only trace scanning sees it.
 The tape content of a configuration is its rendering: the cells from the
 leftmost to the rightmost non-blank one, interior blanks included, so a
 classified string holding the blank symbol matches blank cells between
-written ones. The trace is scanned incrementally. The first configuration
-is scanned in full; after it, each step changes one cell, the one the head
-was on, and only a step that changes its symbol is scanned. Such a step can
-make a classified string appear only where it overlaps the written cell or
-the blank cells a widening write exposes between that cell and the old end,
-so only that piece of the rendering, padded by the longest classified
-string, is tested. Erasing an end cell only shrinks the rendering and is
-not tested at all. The full rendering is made only for the report, once per
-(input, classified string), and the scan of an input stops once every
-classified string has been found in it.
+written ones. The scan reads the trace's own tape snapshots, whose string
+is exactly that content and whose base is its leftmost cell, so it keeps
+no copy of the tape and never walks one. The first configuration is
+scanned in full; after it, each step changes one cell, the one the head
+was on, and a step that changes no symbol shares its predecessor's
+snapshot and is skipped. A step that does change one can make a classified
+string appear only where it overlaps the written cell or the blank cells a
+widening write exposes between that cell and the old end, so only that
+slice of the snapshot, padded by the longest classified string, is tested.
+Erasing an end cell only shrinks the content and is not tested at all. The
+full rendering is made only for the report, once per (input, classified
+string), and the scan of an input stops once every classified string has
+been found in it.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .machine import MachineDescription, _classify_tape, render_tape, trace
+from .machine import MachineDescription, _classify_tape, _Snapshot, render_tape, trace
 
 
 @dataclass(frozen=True)
@@ -135,86 +138,21 @@ class ContainmentReport:
         return out
 
 
-class _LeakScan:
-    """The classified strings that first appear in a run's tape, step by step.
+def _changed_content(before: _Snapshot, after: _Snapshot, cell: int, reach: int) -> str:
+    """The piece of after's content where a string that before lacks can appear.
 
-    It keeps a mirror of the tape (row[i] is cell base + i, blanks included)
-    and the bounds [lo, hi] of its non-blank cells, None while it is blank.
+    after is before with cell written. A new occurrence overlaps the written
+    cell or the blanks a widening write exposes between it and the old end,
+    and spans at most reach + 1 cells. An end erase leaves cell outside the
+    content, which only shrinks, so its piece is empty.
     """
-
-    def __init__(self, classified: tuple[str, ...], blank: str):
-        self.pending = list(dict.fromkeys(classified))
-        self.reach = max(map(len, classified)) - 1
-        self.blank = blank
-        self.row: list[str] = []
-        self.base = 0
-        self.lo: int | None = None
-        self.hi: int | None = None
-
-    def feed(self, step: int, cell: int | None, tape: Mapping[int, str]) -> list[str]:
-        """The pending strings that the tape after `step` shows, in policy order.
-
-        After step 0, tape may differ from the last tape fed only at cell,
-        the cell that step wrote. A step costs O(longest string) plus the
-        blank gap it opens or closes at an end of the tape.
-        """
-        blank, row = self.blank, self.row
-        if step == 0:
-            if not tape:
-                return []
-            lo, hi = min(tape), max(tape)
-            row[:] = [tape.get(c, blank) for c in range(lo, hi + 1)]
-            self.base, self.lo, self.hi = lo, lo, hi
-            a, b = lo, hi
-        else:
-            symbol = tape.get(cell, blank)
-            i = cell - self.base
-            if symbol == (row[i] if 0 <= i < len(row) else blank):
-                return []
-            lo, hi = self.lo, self.hi
-            if symbol == blank:
-                row[i] = blank
-                if lo < cell < hi:
-                    a = b = cell
-                else:
-                    # An end cell: the rendering shrinks to a part of itself.
-                    if lo == hi:
-                        self.lo = self.hi = None
-                    elif cell == lo:
-                        while row[lo - self.base] == blank:
-                            lo += 1
-                        self.lo = lo
-                    else:
-                        while row[hi - self.base] == blank:
-                            hi -= 1
-                        self.hi = hi
-                    return []
-            else:
-                # Grow the mirror by at least its length, so growth costs O(1) a step.
-                if i < 0:
-                    grow = max(-i, len(row))
-                    row[:0] = [blank] * grow
-                    self.base -= grow
-                    i += grow
-                elif i >= len(row):
-                    row.extend([blank] * max(i + 1 - len(row), len(row)))
-                row[i] = symbol
-                # A widening write also exposes the blanks between it and the old end.
-                if lo is None:
-                    lo = hi = a = b = cell
-                elif cell < lo:
-                    a, b, lo = cell, lo - 1, cell
-                elif cell > hi:
-                    a, b, hi = hi + 1, cell, cell
-                else:
-                    a = b = cell
-                self.lo, self.hi = lo, hi
-        # A new occurrence overlaps cells [a, b] and spans at most reach + 1 cells.
-        piece = "".join(row[max(a - self.reach, lo) - self.base : min(b + self.reach, hi) + 1 - self.base])
-        leaked = [chi for chi in self.pending if chi in piece]
-        if leaked:
-            self.pending = [chi for chi in self.pending if chi not in leaked]
-        return leaked
+    base, cells = after.base, after.cells
+    if not base <= cell < base + len(cells):
+        return ""
+    # Bounds left over from an emptied before give a wider [a, b], never a narrower one.
+    a = min(cell, before.base + len(before.cells))
+    b = max(cell, before.base - 1)
+    return cells[max(a - reach - base, 0) : b + reach + 1 - base]
 
 
 def containment_check(
@@ -233,15 +171,24 @@ def containment_check(
     trace_violations: list[TraceViolation] = []
     output_violations: list[OutputViolation] = []
     unresolved: list[str] = []
+    reach = max(map(len, policy.classified)) - 1
     for sigma in sorted(set(inputs)):
         configs = trace(m, sigma, fuel)
-        scan = _LeakScan(policy.classified, m.blank)
+        pending = list(dict.fromkeys(policy.classified))
+        before = None
         for step, config in enumerate(configs):
-            leaked = scan.feed(step, configs[step - 1].head if step else None, config.tape)
+            tape = config.tape
+            if tape is before:
+                continue
+            # The previous step wrote the cell its head was on.
+            piece = tape.cells if before is None else _changed_content(before, tape, configs[step - 1].head, reach)
+            before = tape
+            leaked = [chi for chi in pending if chi in piece]
             if leaked:
                 rendering = render_tape(config, m.blank)
                 trace_violations.extend(TraceViolation(sigma, step, chi, rendering) for chi in leaked)
-                if not scan.pending:
+                pending = [chi for chi in pending if chi not in leaked]
+                if not pending:
                     break
         # The trace ends on the halting configuration, or on the last one the
         # fuel reached; its tape is the tape the run's output is read from.

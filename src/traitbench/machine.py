@@ -35,10 +35,13 @@ remaining steps; `_simulate` gives the space formulas. The space graph runs
 with the certificates on; `trace` still steps through every configuration.
 
 A trace holds each configuration's tape as a compact immutable snapshot:
-one string over the cells written so far, blanks included, read as the
-Mapping of its non-blank cells. A step that changes no symbol shares its
-predecessor's snapshot, and one that does copies the string once, so a
-trace costs about a byte per cell per step, not a dict entry per cell.
+one string that is exactly the tape content, leftmost to rightmost
+non-blank cell with interior blanks included, and the cell it starts at,
+read as the Mapping of its non-blank cells. A step that changes no symbol
+shares its predecessor's snapshot, and one that does copies the string
+once, so a trace costs about a byte per cell per step, not a dict entry per
+cell. `containment` scans a trace by reading each snapshot's start cell and
+string.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class RunOutcome:
         return self.kind is RunKind.HALTED_OUTPUT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """A machine snapshot: control state, head cell, and the non-blank tape cells."""
 
@@ -208,10 +211,13 @@ class Configuration:
 
 
 class _Snapshot(Mapping[int, str]):
-    """An immutable tape: cells base .. base + len(cells) - 1 in one string.
+    """An immutable tape: its content in one string, trimmed of blanks at both ends.
 
-    The string holds blanks too, but as a Mapping the snapshot holds only the
-    non-blank cells, as a dict tape does; every cell outside it is blank.
+    cells is exactly the tape content, from the leftmost to the rightmost
+    non-blank cell with interior blanks included, and base is the leftmost
+    non-blank cell (its value is left over from an earlier tape once cells
+    is empty). As a Mapping the snapshot holds only the non-blank cells, as
+    a dict tape does. `containment` reads base and cells directly.
     """
 
     __slots__ = ("base", "cells", "blank")
@@ -244,17 +250,21 @@ class _Snapshot(Mapping[int, str]):
 
     def write(self, cell: int, symbol: str) -> _Snapshot:
         """The tape after writing symbol at cell: self if that changes nothing, else a new snapshot."""
-        cells, blank = self.cells, self.blank
-        i = cell - self.base
+        cells, blank, base = self.cells, self.blank, self.base
+        i = cell - base
         if 0 <= i < len(cells):
             if cells[i] == symbol:
                 return self
-            return _Snapshot(self.base, cells[:i] + symbol + cells[i + 1:], blank)
-        if symbol == blank:
+            cells = cells[:i] + symbol + cells[i + 1:]
+        elif symbol == blank:
             return self
-        if i < 0:
-            return _Snapshot(cell, symbol + blank * (-i - 1) + cells, blank)
-        return _Snapshot(self.base, cells + blank * (i - len(cells)) + symbol, blank)
+        elif i < 0:
+            cells, base = symbol + blank * (-i - 1) + cells, cell
+        else:
+            cells += blank * (i - len(cells)) + symbol
+        # Only an erase, or a write to an empty tape, leaves blanks at an end.
+        trimmed = cells.lstrip(blank)
+        return _Snapshot(base + len(cells) - len(trimmed), trimmed.rstrip(blank), blank)
 
 
 def _check_input(m: MachineDescription, input_string: str) -> None:
@@ -400,9 +410,8 @@ def trace(m: MachineDescription, input_string: str, fuel: int) -> list[Configura
 def render_tape(config: Configuration, blank: str = BLANK) -> str:
     """The contiguous tape content from leftmost to rightmost non-blank cell."""
     if isinstance(config.tape, _Snapshot):
-        # A trace's tape already holds that content, padded with its own blank.
-        own = config.tape.blank
-        return config.tape.cells.strip(own).replace(own, blank)
+        # A trace's tape is that content, written with its own blank.
+        return config.tape.cells.replace(config.tape.blank, blank)
     if not config.tape:
         return ""
     lo = min(config.tape)

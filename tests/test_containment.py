@@ -230,6 +230,15 @@ class TestIncrementalScan:
         )
         assert self.leaks(m, ["a_"], "ab") == [(6, "a_", "a___b")]
 
+    def test_an_end_erased_across_a_gap_and_rewritten_exposes_the_gap_again(self):
+        # On "a": write b at cell 5 past three blanks, erase it, then write a
+        # there. "_a" first appears on the rewrite, across the gap the erase closed.
+        m = machine_from_rules(
+            "0 _ -> 1 _ R", "1 a -> 2 a R", "2 _ -> 3 _ R", "3 _ -> 4 _ R", "4 _ -> 5 _ R", "5 _ -> 6 b L",
+            "6 _ -> 7 _ R", "7 b -> 8 _ L", "8 _ -> 9 _ R", "9 _ -> 10 a R", working=10
+        )
+        assert self.leaks(m, ["_a", "_b"], "a") == [(6, "_b", "a___b"), (10, "_a", "a___a")]
+
     def test_a_tape_that_empties_is_written_again_from_scratch(self):
         # On "a": erase it, walk on and write b at cell 3; no blank is left between.
         m = machine_from_rules("0 _ -> 1 _ R", "1 a -> 2 _ R", "2 _ -> 3 _ R", "3 _ -> 4 b R", working=4)

@@ -48,6 +48,17 @@ def test_engine_agrees_with_the_reference_stepper(m, data, fuel):
         assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), n
 
 
+@given(canonical_machines(), st.integers(0, 20) | st.integers(21, 400))
+@settings(max_examples=200, deadline=None)
+def test_trace_snapshots_hold_exactly_the_tape_content(m, fuel):
+    for sigma in strings_up_to(m.input_alphabet, 2):
+        for config, (_, _, tape) in zip(trace(m, sigma, fuel), reference_configs(m, sigma)):
+            content = "".join(tape.get(c, m.blank) for c in range(min(tape), max(tape) + 1)) if tape else ""
+            assert config.tape.cells == content
+            if content:
+                assert config.tape.base == min(tape)
+
+
 def test_decoded_machines_agree_with_the_reference_stepper():
     # One index from each of 300 equal strata of [0, 10**7): larger shapes
     # than canonical_machines draws, at the fuels the sweeps use.

@@ -282,18 +282,21 @@ class TestTrace:
         shared = [step for step in range(1, len(configs)) if configs[step].tape is configs[step - 1].tape]
         assert shared == [1, 3, 5, 7, 11]
 
-    def test_trace_memory_is_about_a_byte_per_cell_per_step(self):
+    def test_trace_memory_is_about_a_byte_per_cell_per_step(self, looper):
         # A runaway writer fills one more cell each step, so a trace of fuel
         # 2,000 holds about 2,000**2 / 2 cells: 2 MB as strings, 77 MB as dicts.
+        # The looper changes no symbol, so its 100,001 configurations share one
+        # tape and cost what a Configuration itself costs (13 MB without slots).
         writer = machine_from_rules("0 a -> 0 a R", "0 b -> 0 a R", "0 _ -> 0 a R", working=1)
-        tracemalloc.start()
-        try:
-            configs = trace(writer, "ab", 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(configs) == 2001
-        assert peak < 8 * 2**20
+        for m, fuel, bound in ((writer, 2000, 8 * 2**20), (looper, 100000, 11 * 2**20)):
+            tracemalloc.start()
+            try:
+                configs = trace(m, "ab", fuel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(configs) == fuel + 1
+            assert peak < bound
 
     def test_render_tape_shows_contiguous_nonblank_extent(self, eraser):
         configs = trace(eraser, "ab", 100)
