@@ -294,7 +294,8 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
 
 # The flags that only some modes of a command read, with their defaults, and
 # the modes that read each. The parser leaves them None when omitted, so that
-# main can refuse one given to a mode that ignores it, then fills these in.
+# main can refuse one given to a mode that ignores it, then fills in the
+# defaults of the ones the mode reads.
 # --out and --format are read only by the modes that write a report.
 _MODE_FLAGS = {
     "enumerate": {
@@ -322,7 +323,11 @@ def _mode(args: argparse.Namespace) -> str:
 
 
 def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Refuse flags that the chosen mode does not read, then fill in the defaults of the rest."""
+    """Refuse flags that the chosen mode does not read, then fill in the defaults of those it reads.
+
+    A flag the mode does not read stays None, so the report header, which
+    records the configuration, leaves it out.
+    """
     flags = _MODE_FLAGS.get(args.command)
     if flags is None:
         return
@@ -332,8 +337,8 @@ def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace)
     unread = ["--" + flag.replace("_", "-") for flag, (_, modes) in flags.items() if mode not in modes and getattr(args, flag) is not None]
     if unread:
         parser.error(f"{args.command}: the {mode} mode does not read {', '.join(unread)}")
-    for flag, (default, _) in flags.items():
-        if getattr(args, flag) is None:
+    for flag, (default, modes) in flags.items():
+        if mode in modes and getattr(args, flag) is None:
             setattr(args, flag, default)
 
 

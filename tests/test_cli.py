@@ -199,11 +199,18 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_omitted_flags_take_their_defaults(self, tmp_path):
+    def test_omitted_flags_take_their_defaults(self, machine_file, echo, tmp_path, capsys):
+        # Only the flags the mode reads take a default; the header records no other.
         out = tmp_path / "valid.csv"
         assert main(["enumerate", "--max", "1", "--out", str(out)]) == 0
-        header = json.loads(out.read_text().splitlines()[0][2:])
-        assert (header["config"]["max_len"], header["config"]["fuel"]) == (2, 100)
+        config = json.loads(out.read_text().splitlines()[0][2:])["config"]
+        assert config["max"] == 1
+        assert "max_len" not in config and "fuel" not in config
+        out = tmp_path / "xi.csv"
+        assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--out", str(out)]) == 0
+        config = json.loads(out.read_text().splitlines()[0][2:])["config"]
+        assert (config["max_len"], config["fuel"]) == (3, 1000)
+        assert "input" not in config and "trials" not in config
 
 
 class TestTransformCommands:

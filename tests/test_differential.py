@@ -4,17 +4,21 @@ The reference (`util.reference_run`) keeps the textbook state: a dict tape,
 a set of visited cells, and, for the space graph, a set of every
 configuration seen so far. It steps every run to its fuel, so fuels far past
 the engine's divergence certificates check the fast-forwarded outcomes.
+
+Validation is checked the same way, against `util.reference_validate`, which
+makes every check rule by rule with no memo and no set checks.
 """
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench.enumeration import decode
-from traitbench.machine import RunKind, run, strings_up_to, trace
+from traitbench.machine import MachineDescription, MachineError, RunKind, run, strings_up_to, trace
 from traitbench.measures import space_measure
-from util import canonical_machines, reference_classify, reference_configs, reference_run
+from util import canonical_machines, reference_classify, reference_configs, reference_run, validation_fault
 
 
 def reference_space_graph(m, sigma, n):
@@ -76,3 +80,77 @@ def test_decoded_machines_agree_with_the_reference_stepper():
                 ), (index, sigma, fuel)
             for n in range(13):
                 assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), (index, sigma, n)
+
+
+RULE_FAULTS = ("drop", "duplicate", "from-halting", "source-out", "target-out", "read-outside", "write-outside", "bad-move")
+HEADER_FAULTS = (
+    "few-states", "role-out", "accept-is-reject", "repeated-symbol", "multi-character-symbol",
+    "blank-not-in-tape", "blank-in-input", "input-not-in-tape",
+)
+
+
+@st.composite
+def machine_fields(draw) -> dict:
+    """The fields of a canonical machine with at most one fault put in."""
+    m = draw(canonical_machines())
+    fields = {f.name: getattr(m, f.name) for f in dataclasses.fields(m)}
+    fault = draw(st.none() | st.sampled_from(RULE_FAULTS + HEADER_FAULTS))
+    n, tape = m.state_count, m.tape_alphabet
+    rules = list(m.transitions)
+    i = draw(st.integers(0, len(rules) - 1))
+    q, s, q2, w, mv = rules[i]
+    if fault == "drop":
+        del rules[i]
+    elif fault == "duplicate":
+        # Added, or put in place of another rule so that the table keeps its size.
+        twin = (q, s, draw(st.integers(0, n - 1)), draw(st.sampled_from(tape)), "L" if mv == "R" else "R")
+        j = draw(st.integers(0, len(rules)))
+        if j < len(rules) and j != i and draw(st.booleans()):
+            rules[j] = twin
+        else:
+            rules.insert(j, twin)
+    elif fault == "from-halting":
+        rules.append((draw(st.sampled_from((m.accept_state, m.reject_state))), draw(st.sampled_from(tape)), q2, w, mv))
+    elif fault == "source-out":
+        rules[i] = (draw(st.sampled_from((-1, n, n + 5))), s, q2, w, mv)
+    elif fault == "target-out":
+        rules[i] = (q, s, draw(st.sampled_from((-1, n, n + 5))), w, mv)
+    elif fault == "read-outside":
+        rules[i] = (q, draw(st.sampled_from(("#", "Z"))), q2, w, mv)
+    elif fault == "write-outside":
+        rules[i] = (q, s, q2, draw(st.sampled_from(("#", "Z"))), mv)
+    elif fault == "bad-move":
+        rules[i] = (q, s, q2, w, draw(st.sampled_from(("X", "l", "", "RR"))))
+    elif fault == "few-states":
+        fields["state_count"] = draw(st.integers(0, 2))
+    elif fault == "role-out":
+        fields[draw(st.sampled_from(("start_state", "accept_state", "reject_state")))] = draw(st.sampled_from((-1, n, n + 5)))
+    elif fault == "accept-is-reject":
+        fields["reject_state"] = fields["accept_state"]
+    elif fault == "repeated-symbol":
+        name = draw(st.sampled_from(("input_alphabet", "tape_alphabet")))
+        fields[name] += (draw(st.sampled_from(fields[name])),)
+    elif fault == "multi-character-symbol":
+        name = draw(st.sampled_from(("input_alphabet", "tape_alphabet", "blank")))
+        fields[name] = "__" if name == "blank" else fields[name] + ("ab",)
+    elif fault == "blank-not-in-tape":
+        fields["tape_alphabet"] = tuple(sym for sym in tape if sym != m.blank)
+    elif fault == "blank-in-input":
+        fields["input_alphabet"] += (m.blank,)
+    elif fault == "input-not-in-tape":
+        fields["input_alphabet"] += ("z",)
+    fields["transitions"] = tuple(rules)
+    return fields
+
+
+@given(machine_fields())
+@settings(max_examples=600, deadline=None)
+def test_validation_agrees_with_the_reference(fields):
+    """The constructor raises exactly when the reference does, with the same message and rules."""
+    expected = validation_fault(**fields)
+    try:
+        MachineDescription(**fields)
+    except MachineError as exc:
+        assert (str(exc), exc.rules) == expected
+    else:
+        assert expected is None

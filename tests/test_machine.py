@@ -1,12 +1,14 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
+import gc
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.fixtures import all_fixtures
+from traitbench import machine
+from traitbench.fixtures import all_fixtures, echo as echo_machine
 from traitbench.machine import (
     Configuration,
     EquivKind,
@@ -23,7 +25,8 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from util import canonical_machines, machine_from_rules, reference_configs, reference_run
+from traitbench.transforms import leaky_wrap
+from util import canonical_machines, machine_from_rules, reference_configs, reference_run, reference_validate, unvalidated_machine
 
 
 class TestRun:
@@ -485,3 +488,56 @@ class TestValidation:
                     (1, "a", 1, "a", "R"),
                 ),
             )
+
+
+def outcome(check):
+    """What calling check does: None, or the type, message and rules of what it raises."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "rules", None)
+    return None
+
+
+SMALL_MACHINE_FIELDS = {
+    "state_count": 4, "start_state": 0, "accept_state": 2, "reject_state": 3,
+    "input_alphabet": ("a",), "tape_alphabet": ("a", "_"), "blank": "_",
+    "transitions": ((0, "a", 0, "a", "R"), (0, "_", 1, "_", "L"), (1, "a", 1, "a", "L"), (1, "_", 2, "_", "R")),
+}
+
+
+class TestHeaderMemo:
+    def test_holds_only_small_tape_sets(self):
+        machine._checked_header.cache_clear()
+        leaky = leaky_wrap(echo_machine(), "b" * 300)
+        # The memo's keys and values are what the garbage collector sees it hold.
+        held = gc.get_referents(machine._checked_header)
+        values = [obj for obj in held if isinstance(obj, frozenset)]
+        assert len(values) == machine._checked_header.cache_info().currsize > 0
+        assert all(value <= set(leaky.tape_alphabet) for value in values)
+        assert not any(isinstance(obj, MachineDescription) for obj in held)
+
+    def test_a_faulty_header_raises_on_every_construction(self):
+        fields = {**SMALL_MACHINE_FIELDS, "reject_state": 2}
+        for _ in range(2):
+            with pytest.raises(MachineError, match="^accept and reject must be distinct states$"):
+                MachineDescription(**fields)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"input_alphabet": ["a"], "tape_alphabet": ["a", "_"]}, id="lists"),
+            pytest.param({"tape_alphabet": ["a", "_", "a"]}, id="list-repeats-a-symbol"),
+            pytest.param({"input_alphabet": ["a", "b"], "tape_alphabet": ["a", "_"]}, id="list-input-not-in-tape"),
+            pytest.param({"tape_alphabet": ["a", "_", "b"]}, id="list-table-not-total"),
+            pytest.param({"blank": ["_"]}, id="unhashable-blank"),
+            pytest.param({"tape_alphabet": ("a", "_", ["b"])}, id="unhashable-symbol"),
+            pytest.param({"accept_state": 2.5}, id="non-integer-role"),
+            pytest.param({"state_count": 4.0}, id="non-integer-state-count"),
+            pytest.param({"transitions": SMALL_MACHINE_FIELDS["transitions"][:3] + ((1, "_", 2, "_", "R", "R"),)}, id="rule-of-six"),
+        ],
+    )
+    def test_odd_headers_and_rules_behave_as_the_reference(self, changes):
+        fields = {**SMALL_MACHINE_FIELDS, **changes}
+        for _ in range(2):  # the second pass meets the memo
+            assert outcome(lambda: MachineDescription(**fields)) == outcome(lambda: reference_validate(unvalidated_machine(**fields)))

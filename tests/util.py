@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import strategies as st
@@ -15,7 +16,11 @@ from traitbench.containment import (
 from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE
 from traitbench.machine import (
     BLANK,
+    LEFT,
+    RIGHT,
     MachineDescription,
+    MachineError,
+    Rule,
     RunKind,
     UndefinedReason,
     _classify_tape,
@@ -136,3 +141,68 @@ def reference_containment(m, policy, inputs, fuel):
     else:
         verdict = ContainmentVerdict.CONTAINED
     return ContainmentReport(verdict, tuple(trace_violations), tuple(output_violations), tuple(unresolved))
+
+
+def unvalidated_machine(**fields) -> MachineDescription:
+    """A MachineDescription with these fields, its rules sorted as the constructor sorts them, left unchecked."""
+    m = object.__new__(MachineDescription)
+    for field in dataclasses.fields(MachineDescription):
+        object.__setattr__(m, field.name, fields[field.name])
+    object.__setattr__(m, "transitions", tuple(sorted(m.transitions)))
+    return m
+
+
+def reference_validate(m: MachineDescription) -> None:
+    """Every check of a machine, one after another and rule by rule, with no memo and no set checks."""
+    if m.state_count < 3:
+        raise MachineError("a machine needs at least start, accept, and reject states")
+    for label, q in (("start", m.start_state), ("accept", m.accept_state), ("reject", m.reject_state)):
+        if not 0 <= q < m.state_count:
+            raise MachineError(f"{label} state {q} is out of range 0..{m.state_count - 1}")
+    if m.accept_state == m.reject_state:
+        raise MachineError("accept and reject must be distinct states")
+    for name, alphabet in (("input", m.input_alphabet), ("tape", m.tape_alphabet)):
+        for sym in alphabet:
+            if len(sym) != 1:
+                raise MachineError(f"{name} alphabet symbol {sym!r} is not a single character")
+        if len(set(alphabet)) != len(alphabet):
+            raise MachineError(f"{name} alphabet repeats a symbol")
+    if len(m.blank) != 1:
+        raise MachineError(f"blank symbol {m.blank!r} is not a single character")
+    if m.blank not in m.tape_alphabet:
+        raise MachineError("the blank symbol must belong to the tape alphabet")
+    if m.blank in m.input_alphabet:
+        raise MachineError("the blank symbol must not belong to the input alphabet")
+    tape_set = set(m.tape_alphabet)
+    missing = [s for s in m.input_alphabet if s not in tape_set]
+    if missing:
+        raise MachineError(f"input symbols {missing} are missing from the tape alphabet")
+
+    halting = m.halting_states
+    seen: dict[tuple[int, str], Rule] = {}
+    for rule in m.transitions:
+        q, s, q2, w, mv = rule
+        if (q, s) in seen:
+            raise MachineError(f"duplicate rule for state {q} reading {s!r}", seen[(q, s)], rule)
+        seen[(q, s)] = rule
+        if q in halting:
+            raise MachineError(f"state {q} is halting and must not take transitions", rule)
+        if not 0 <= q < m.state_count or not 0 <= q2 < m.state_count:
+            raise MachineError(f"rule ({q}, {s!r}) references a state out of range", rule)
+        if s not in tape_set or w not in tape_set:
+            raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet", rule)
+        if mv not in (LEFT, RIGHT):
+            raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", rule)
+    for q in m.working_states():
+        for s in m.tape_alphabet:
+            if (q, s) not in seen:
+                raise MachineError(f"transition table is not total: no rule for state {q} reading {s!r}")
+
+
+def validation_fault(**fields) -> tuple[str, tuple[Rule, ...]] | None:
+    """The message and rules of the MachineError the reference raises for these fields, or None."""
+    try:
+        reference_validate(unvalidated_machine(**fields))
+    except MachineError as exc:
+        return str(exc), exc.rules
+    return None
