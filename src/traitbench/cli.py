@@ -28,6 +28,7 @@ from .machine import (
 )
 from .measures import (
     MEASURES,
+    WitnessSearchError,
     check_blum_axioms,
     discriminating_witness,
     parse_bound,
@@ -388,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pad", help="append unreachable states to a machine")
     p.add_argument("--machine", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--out", required=True, help="file to write the padded machine to")
     p.add_argument("--receipts", help="file to write a JSON receipt to")
     p.set_defaults(func=cmd_pad)
 
     p = sub.add_parser("delay", help="slow a machine down by exactly d steps per run")
     p.add_argument("--machine", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_count, required=True)
     p.add_argument("--out", required=True, help="file to write the delayed machine to")
     p.add_argument("--receipts", help="file to write a JSON receipt to")
     p.set_defaults(func=cmd_delay)
@@ -484,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--format applies only to the report that --out writes")
     try:
         return args.func(args)
-    except (MachineError, ValueError, OSError) as exc:
+    except (MachineError, ValueError, OSError, WitnessSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,26 +7,50 @@ delay_inject slows every run down by an exact number of steps, leaky_wrap
 makes the trace momentarily contain a chosen string without altering input
 or output, and canonicalize renames states and symbols into the normal form
 the index bijection covers.
+
+The three state-adding rewrites are each a chain of new states numbered
+after m's, built by one helper from a list of steps: each new state either
+loops on itself or hands control to the next, the last one to m's start.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE, encode
 from .machine import BLANK, LEFT, RIGHT, MachineDescription, Rule
+
+
+_Step = tuple[str, str | None, tuple[str, ...]]  # (move, write, advance_on)
+
+
+def _chain(m: MachineDescription, tape_alphabet: tuple[str, ...], steps: list[_Step]) -> tuple[Rule, ...]:
+    """Rules for new states m.state_count, m.state_count + 1, .. one per step.
+
+    A step (move, write, advance_on) moves the head by move on every symbol.
+    On a symbol in advance_on it writes write (the symbol read, when None)
+    and advances to the next new state, or to m's start state after the
+    last step; on any other symbol it rewrites what it read and stays.
+    """
+    rules: list[Rule] = []
+    for i, (move, write, advance_on) in enumerate(steps):
+        state = m.state_count + i
+        target = state + 1 if i < len(steps) - 1 else m.start_state
+        for sym in tape_alphabet:
+            if sym in advance_on:
+                rules.append((state, sym, target, sym if write is None else write, move))
+            else:
+                rules.append((state, sym, state, sym, move))
+    return tuple(rules)
 
 
 def pad(m: MachineDescription, k: int) -> MachineDescription:
     """Append k unreachable self-looping states; traces are unchanged."""
     if k < 1:
         raise ValueError("pad needs k >= 1 extra states")
-    rules = list(m.transitions)
-    for q in range(m.state_count, m.state_count + k):
-        for sym in m.tape_alphabet:
-            rules.append((q, sym, q, sym, RIGHT))
-    return replace(m, state_count=m.state_count + k, transitions=tuple(rules))
+    rules = m.transitions + _chain(m, m.tape_alphabet, [(RIGHT, None, ())] * k)
+    return replace(m, state_count=m.state_count + k, transitions=rules)
 
 
 def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
@@ -39,15 +63,10 @@ def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
     """
     if d < 2 or d % 2 != 0:
         raise ValueError("delay must be an even number of steps, at least 2")
-    base = m.state_count
-    rules = list(m.transitions)
-    for i in range(d):
-        state = base + i
-        target = base + i + 1 if i < d - 1 else m.start_state
-        move = LEFT if i < d // 2 else RIGHT
-        for sym in m.tape_alphabet:
-            rules.append((state, sym, target, sym, move))
-    return replace(m, state_count=base + d, start_state=base, transitions=tuple(rules))
+    every = m.tape_alphabet
+    steps = [(LEFT, None, every)] * (d // 2) + [(RIGHT, None, every)] * (d // 2)
+    rules = m.transitions + _chain(m, every, steps)
+    return replace(m, state_count=m.state_count + d, start_state=m.state_count, transitions=rules)
 
 
 def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
@@ -65,59 +84,26 @@ def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
     if m.blank in chi:
         raise ValueError("the leaked string cannot contain the blank symbol")
     new_symbols = tuple(dict.fromkeys(sym for sym in chi if sym not in m.tape_alphabet))
-    tape_alphabet = m.tape_alphabet + new_symbols
-    rules: list[Rule] = list(m.transitions)
+    every = m.tape_alphabet + new_symbols
+    blank = (m.blank,)
     # Rules for m's own states never see the new symbols on inputs the wrapper
     # produces, but the table must stay total over the grown alphabet.
-    halting = m.halting_states
-    for q in range(m.state_count):
-        if q in halting:
-            continue
-        for sym in new_symbols:
-            rules.append((q, sym, m.reject_state, sym, RIGHT))
-
-    k = len(chi)
-    base = m.state_count
-    seek_start = base
-    seek_scan = base + 1
-    write_states = {j: base + j for j in range(2, k + 1)}  # state about to write chi[j-1]
-    turn = base + k + 1
-    erase_states = {j: base + k + 1 + (k - j + 1) for j in range(k, 0, -1)}  # j cells left to erase
-    ret = base + 2 * k + 2
-    ret_bounce = base + 2 * k + 3
-
-    def everywhere(state: int, action) -> None:
-        for sym in tape_alphabet:
-            rules.append((state, sym, *action(sym)))
-
-    after_first_write = write_states.get(2, turn)
-    everywhere(seek_start, lambda sym: (seek_scan, sym, RIGHT))
-    for sym in tape_alphabet:
-        if sym == m.blank:
-            rules.append((seek_scan, sym, after_first_write, chi[0], RIGHT))
-        else:
-            rules.append((seek_scan, sym, seek_scan, sym, RIGHT))
-    for j in range(2, k + 1):
-        target = write_states.get(j + 1, turn)
-        written = chi[j - 1]
-        everywhere(write_states[j], lambda sym, t=target, w=written: (t, w, RIGHT))
-    everywhere(turn, lambda sym: (erase_states[k], sym, LEFT))
-    for j in range(k, 0, -1):
-        target = erase_states.get(j - 1, ret)
-        everywhere(erase_states[j], lambda sym, t=target: (t, m.blank, LEFT))
-    for sym in tape_alphabet:
-        if sym == m.blank:
-            rules.append((ret, sym, ret_bounce, sym, LEFT))
-        else:
-            rules.append((ret, sym, ret, sym, LEFT))
-    everywhere(ret_bounce, lambda sym: (m.start_state, sym, RIGHT))
-
+    rejects = tuple((q, sym, m.reject_state, sym, RIGHT) for q in m.working_states() for sym in new_symbols)
+    steps = (
+        [(RIGHT, None, every)]  # step off the start cell onto the input
+        + [(RIGHT, chi[0], blank)]  # scan to the first blank and write chi[0]
+        + [(RIGHT, sym, every) for sym in chi[1:]]  # write the rest of chi
+        + [(LEFT, None, every)]  # turn back onto chi's last cell
+        + [(LEFT, m.blank, every)] * len(chi)  # erase chi, one cell per step
+        + [(LEFT, None, blank)]  # scan left past the blank start cell
+        + [(RIGHT, None, every)]  # step back onto it in m's start state
+    )
     return replace(
         m,
-        state_count=base + 2 * k + 4,
-        start_state=seek_start,
-        tape_alphabet=tape_alphabet,
-        transitions=tuple(rules),
+        state_count=m.state_count + len(steps),
+        start_state=m.state_count,
+        tape_alphabet=every,
+        transitions=m.transitions + rejects + _chain(m, every, steps),
     )
 
 
@@ -184,15 +170,7 @@ class TransformReceipt:
     output_index: int
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "parameter": self.parameter,
-                "input_index": self.input_index,
-                "output_index": self.output_index,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def receipt_for(kind: str, original: MachineDescription, transformed: MachineDescription, parameter: object) -> TransformReceipt:

@@ -60,6 +60,8 @@ class TestExitCodes:
             ["partition", "--name", "states:3", "--fuel", "-1"],
             ["prop3", "--fuel", "-1"],
             ["contain", "--machine", "m.tm", "--policy", "p.json", "--fuel", "-1"],
+            ["pad", "--machine", "m.tm", "--k", "-1", "--out", "p.tm"],
+            ["delay", "--machine", "m.tm", "--d", "-2", "--out", "d.tm"],
         ],
     )
     def test_negative_count_flags_exit_two(self, args, capsys):
@@ -317,6 +319,13 @@ class TestMeasure:
         )
         assert code == 0
         assert "witness: delay=2" in capsys.readouterr().out
+
+    def test_discriminate_without_a_witness_exits_one(self, machine_file, echo, capsys):
+        code = main(["measure", "--machine", machine_file(echo), "--discriminate", "--trials", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: no delay up to 0 raised the time cost on every tested input" in err
+        assert "Traceback" not in err
 
 
 class TestTraitCommands:

@@ -1,5 +1,6 @@
 """Semantics-preserving transformations and their receipts."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from traitbench.enumeration import encode
 from traitbench.fixtures import all_fixtures
-from traitbench.machine import EquivKind, RunKind, equiv_bounded, render_tape, run, trace
+from traitbench.machine import EquivKind, RunKind, equiv_bounded, format_machine, render_tape, run, trace
 from traitbench.transforms import TransformReceipt, canonicalize, delay_inject, leaky_wrap, pad, receipt_for
 from util import canonical_machines
 
@@ -192,3 +193,26 @@ class TestReceipts:
         receipt = receipt_for("leak", echo, leaky_wrap(echo, "b"), "b")
         data = json.loads(receipt.as_json())
         assert TransformReceipt(**data) == receipt
+
+
+class TestPinnedConstructions:
+    def test_rewrites_of_the_fixtures_are_byte_identical(self):
+        # Pins each rewrite's state numbering and wiring, which the
+        # behavioural tests above cannot see: a renumbered pad or delay
+        # computes the same function but changes this text.
+        text = "".join(
+            format_machine(variant)
+            for m in all_fixtures().values()
+            for variant in (
+                pad(m, 1),
+                pad(m, 3),
+                delay_inject(m, 2),
+                delay_inject(m, 6),
+                leaky_wrap(m, "a"),
+                leaky_wrap(m, "abba"),
+                leaky_wrap(m, "bXb"),
+            )
+        )
+        assert len(text) == 15112
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "045fd62a76fd1da596669443c4160e9d109bc87fbd1ce18a8b3b65139bd0a090"
