@@ -130,9 +130,11 @@ def cmd_enumerate(args) -> int:
 
 
 def _write_transformed(args, kind: str, original: MachineDescription, transformed: MachineDescription, parameter) -> int:
-    Path(args.out).write_text(format_machine(transformed), "utf-8")
-    if args.receipts:
-        receipt = receipt_for(kind, original, transformed, parameter)
+    # Both texts come first, so a machine or receipt that cannot be made leaves no file behind.
+    text = format_machine(transformed)
+    receipt = receipt_for(kind, original, transformed, parameter) if args.receipts else None
+    Path(args.out).write_text(text, "utf-8")
+    if receipt is not None:
         Path(args.receipts).write_text(receipt.as_json() + "\n", "utf-8")
     print(f"{kind}: {original.state_count} -> {transformed.state_count} states, written to {args.out}")
     return 0
@@ -156,8 +158,9 @@ def cmd_leak(args) -> int:
 def cmd_canon(args) -> int:
     m = _load_machine(args.machine)
     canonical = canonicalize(m)
-    Path(args.out).write_text(format_machine(canonical), "utf-8")
-    print(f"canonicalize: index {encode(canonical)}, written to {args.out}")
+    text, index = format_machine(canonical), encode(canonical)
+    Path(args.out).write_text(text, "utf-8")
+    print(f"canonicalize: index {index}, written to {args.out}")
     return 0
 
 

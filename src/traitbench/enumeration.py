@@ -22,8 +22,8 @@ is the (next state, written symbol, move) a digit packs, and `keys[i]` the
 (state, read symbol) pair digit i encodes; `digit_of` and `position` invert
 them. decode peels one digit per key with divmod and looks its action up;
 encode places each rule's digit by table lookup and folds the digits with
-Horner's rule. decode builds every machine through the public constructor,
-so each decoded machine is validated.
+Horner's rule. A shape's header alone is the normal form: decode and
+canonicalize build from it and is_canonical compares with it.
 """
 
 from __future__ import annotations
@@ -67,9 +67,17 @@ def unpair(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Shape:
+    """The normal form of the machines with these sizes; ValueError when an alphabet outgrows its universe."""
+
     states: int
     sigma_size: int
     extra_count: int
+
+    def __post_init__(self):
+        if self.sigma_size > len(SIGMA_UNIVERSE):
+            raise ValueError(f"input alphabet exceeds the {len(SIGMA_UNIVERSE)}-symbol universe")
+        if self.extra_count > len(EXTRA_UNIVERSE):
+            raise ValueError(f"tape alphabet exceeds the {len(EXTRA_UNIVERSE)}-extra-symbol universe")
 
     @cached_property
     def sigma(self) -> tuple[str, ...]:
@@ -78,6 +86,15 @@ class _Shape:
     @cached_property
     def gamma(self) -> tuple[str, ...]:
         return self.sigma + (BLANK,) + tuple(EXTRA_UNIVERSE[: self.extra_count])
+
+    @cached_property
+    def header(self) -> tuple:
+        """Every field but the rules, in MachineDescription's order: start 0, accept and reject last."""
+        return (self.states, 0, self.states - 2, self.states - 1, self.sigma, self.gamma, BLANK)
+
+    def machine(self, rules: tuple[Rule, ...]) -> MachineDescription:
+        """The machine of this shape with these rules, built through the public constructor."""
+        return MachineDescription(*self.header, rules)
 
     @cached_property
     def radix(self) -> int:
@@ -110,14 +127,6 @@ class _Shape:
         return {key: i for i, key in enumerate(self.keys)}
 
 
-def _shape_from_code(code: int) -> _Shape | None:
-    a, rest = unpair(code)
-    b, c = unpair(rest)
-    if b >= len(SIGMA_UNIVERSE) or c > len(EXTRA_UNIVERSE):
-        return None
-    return _Shape(states=a + 3, sigma_size=b + 1, extra_count=c)
-
-
 # Valid shapes in code order with their first global index, grown on demand,
 # and the same pairs keyed by (states, sigma size, extra count).
 _shapes: list[_Shape] = []
@@ -130,15 +139,29 @@ _next_start = 0
 def _extend_walk() -> None:
     global _next_code, _next_start
     while True:
-        shape = _shape_from_code(_next_code)
+        a, rest = unpair(_next_code)
+        b, c = unpair(rest)
         _next_code += 1
-        if shape is None:
-            continue
+        try:
+            shape = _Shape(states=a + 3, sigma_size=b + 1, extra_count=c)
+        except ValueError:
+            continue  # an alphabet outgrows its universe: the code names no shape
         _shapes.append(shape)
         _starts.append(_next_start)
         _by_dims[shape.states, shape.sigma_size, shape.extra_count] = shape, _next_start
         _next_start += shape.capacity
         return
+
+
+def _shape_of(m: MachineDescription) -> _Shape:
+    """The shape m's sizes name, the walked one when the walk has reached it.
+
+    Raises the shape's ValueError when an alphabet of m outgrows its universe.
+    """
+    k = len(m.input_alphabet)
+    dims = (m.state_count, k, len(m.tape_alphabet) - k - 1)
+    walked = _by_dims.get(dims)
+    return walked[0] if walked is not None else _Shape(*dims)
 
 
 def _locate_index(n: int) -> tuple[_Shape, int]:
@@ -162,32 +185,19 @@ def decode(n: int) -> MachineDescription:
     for key in shape.keys:
         table, digit = divmod(table, radix)
         rules.append(key + actions[digit])
-    return MachineDescription(
-        state_count=shape.states,
-        start_state=0,
-        accept_state=shape.states - 2,
-        reject_state=shape.states - 1,
-        input_alphabet=shape.sigma,
-        tape_alphabet=shape.gamma,
-        blank=BLANK,
-        transitions=tuple(rules),
-    )
+    return shape.machine(tuple(rules))
 
 
 def is_canonical(m: MachineDescription) -> bool:
-    """Whether a machine is in the normal form the index bijection covers."""
-    s = m.state_count
-    if (m.start_state, m.accept_state, m.reject_state) != (0, s - 2, s - 1):
+    """Whether a machine is in the normal form the index bijection covers.
+
+    That is its shape's header exactly, with a nonempty input alphabet.
+    """
+    try:
+        shape = _shape_of(m)
+    except ValueError:
         return False
-    k = len(m.input_alphabet)
-    if not 1 <= k <= len(SIGMA_UNIVERSE):
-        return False
-    if m.input_alphabet != tuple(SIGMA_UNIVERSE[:k]):
-        return False
-    extras = len(m.tape_alphabet) - k - 1
-    if not 0 <= extras <= len(EXTRA_UNIVERSE):
-        return False
-    return m.tape_alphabet == m.input_alphabet + (BLANK,) + tuple(EXTRA_UNIVERSE[:extras]) and m.blank == BLANK
+    return shape.sigma_size > 0 and shape.header == (m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
 
 
 def encode(m: MachineDescription) -> int:

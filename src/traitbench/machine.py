@@ -652,6 +652,10 @@ def format_machine(m: MachineDescription) -> str:
     """Render a machine in the textual format; parse_machine inverts this."""
     if m.blank != BLANK:
         raise MachineError(f"the textual format reserves {BLANK!r} for the blank symbol")
+    # Whitespace separates a rule's fields and '#' starts a comment in it.
+    unwritable = [sym for sym in m.tape_alphabet if sym.isspace() or sym == "#"]
+    if unwritable:
+        raise MachineError(f"the textual format cannot carry the tape symbols {unwritable}: no whitespace or '#'")
     rank = {sym: i for i, sym in enumerate(m.tape_alphabet)}
     lines = [
         f"states: {m.state_count}",

@@ -251,14 +251,24 @@ class ComposedBound(BoundFunction):
         return f"{self.outer.describe()}@{self.inner.describe()}"
 
 
-_LINEAR_RE = re.compile(r"^(?:(\d*)n)?(?:\+?(\d+))?$")
+# The deepest nesting the trait grammar parses: combinators in a trait
+# expression, and compositions in a bound, which a trait leaf may carry.
+MAX_TRAIT_DEPTH = 100
+
+# '<a>n', '<a>n+<b>' or '<b>': only a '+' may follow the n-term.
+_LINEAR_RE = re.compile(r"^(?:(\d*)n(?=\+|$))?(?:\+?(\d+))?$")
 
 
 def parse_bound(text: str) -> BoundFunction:
-    """Parse a bound: '7', 'n', '2n+3', 'table:1,2;default=9', or f@g composition."""
+    """Parse a bound: '7', 'n', '2n+3', 'table:1,2;default=9', or f@g composition.
+
+    Compositions nest at most MAX_TRAIT_DEPTH deep; deeper text raises ValueError.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty bound expression")
+    if text.count("@") > MAX_TRAIT_DEPTH:
+        raise ValueError(f"bound expression nests deeper than {MAX_TRAIT_DEPTH} compositions")
     if "@" in text:
         outer_text, inner_text = text.split("@", 1)
         return ComposedBound(parse_bound(outer_text), parse_bound(inner_text))
@@ -267,7 +277,10 @@ def parse_bound(text: str) -> BoundFunction:
         if ";default=" not in body:
             raise ValueError("table bound needs ';default=<value>'")
         listed, default_text = body.split(";default=", 1)
-        values = tuple(int(v) for v in listed.split(",") if v != "")
+        entries = listed.split(",") if listed else []
+        if "" in entries:
+            raise ValueError(f"table bound {text!r} has an empty entry")
+        values = tuple(int(v) for v in entries)
         return TableBound(values, int(default_text))
     match = _LINEAR_RE.match(text)
     if not match or (match.group(1) is None and match.group(2) is None):

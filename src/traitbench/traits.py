@@ -36,6 +36,7 @@ from .machine import (
     strings_up_to,
 )
 from .measures import (
+    MAX_TRAIT_DEPTH,
     BoundCheckKind,
     BoundFunction,
     ResourceMeasure,
@@ -549,9 +550,6 @@ def halting_decider_from_oracle(oracle: Callable[[int, str, int], int]) -> Calla
 
 
 # --- textual trait expressions ---------------------------------------------------
-
-
-MAX_TRAIT_DEPTH = 100
 
 
 def parse_trait(text: str) -> TraitExpr:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-from .enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE, encode
-from .machine import BLANK, LEFT, RIGHT, MachineDescription, Rule
+from .enumeration import _shape_of, encode
+from .machine import LEFT, RIGHT, MachineDescription, Rule
 
 
 _Step = tuple[str, str | None, tuple[str, ...]]  # (move, write, advance_on)
@@ -120,44 +120,17 @@ def canonicalize(m: MachineDescription) -> MachineDescription:
     """
     if m.start_state in m.halting_states:
         raise ValueError("cannot canonicalize a machine whose start state is accept or reject")
-    if len(m.input_alphabet) > len(SIGMA_UNIVERSE):
-        raise ValueError(f"input alphabet exceeds the {len(SIGMA_UNIVERSE)}-symbol universe")
+    shape = _shape_of(m)
+    _, start, accept, reject, _, gamma, _ = shape.header
+    roles = {m.start_state: start, m.accept_state: accept, m.reject_state: reject}
+    others = iter(q for q in range(m.state_count) if q not in roles.values())
+    state_map = {q: roles[q] if q in roles else next(others) for q in range(m.state_count)}
     extras = [sym for sym in m.tape_alphabet if sym not in m.input_alphabet and sym != m.blank]
-    if len(extras) > len(EXTRA_UNIVERSE):
-        raise ValueError(f"tape alphabet exceeds the {len(EXTRA_UNIVERSE)}-extra-symbol universe")
-
-    middle = [
-        q
-        for q in range(m.state_count)
-        if q != m.start_state and q not in m.halting_states
-    ]
-    state_map = {m.start_state: 0}
-    for i, q in enumerate(middle, start=1):
-        state_map[q] = i
-    state_map[m.accept_state] = m.state_count - 2
-    state_map[m.reject_state] = m.state_count - 1
-
-    symbol_map = {sym: SIGMA_UNIVERSE[i] for i, sym in enumerate(m.input_alphabet)}
-    symbol_map[m.blank] = BLANK
-    for i, sym in enumerate(extras):
-        symbol_map[sym] = EXTRA_UNIVERSE[i]
-
-    sigma = tuple(SIGMA_UNIVERSE[: len(m.input_alphabet)])
-    gamma = sigma + (BLANK,) + tuple(EXTRA_UNIVERSE[: len(extras)])
-    rules = tuple(
+    symbol_map = dict(zip((*m.input_alphabet, m.blank, *extras), gamma))
+    return shape.machine(tuple(
         (state_map[q], symbol_map[s], state_map[q2], symbol_map[w], mv)
         for q, s, q2, w, mv in m.transitions
-    )
-    return MachineDescription(
-        state_count=m.state_count,
-        start_state=0,
-        accept_state=m.state_count - 2,
-        reject_state=m.state_count - 1,
-        input_alphabet=sigma,
-        tape_alphabet=gamma,
-        blank=BLANK,
-        transitions=rules,
-    )
+    ))
 
 
 @dataclass(frozen=True)

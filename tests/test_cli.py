@@ -7,6 +7,7 @@ import pytest
 from traitbench.cli import main
 from traitbench.enumeration import decode
 from traitbench.machine import equiv_bounded, format_machine, parse_machine
+from util import MALFORMED_BOUNDS
 
 
 @pytest.fixture
@@ -238,6 +239,40 @@ class TestTransformCommands:
             assert code == 0
             parse_machine(out.read_text())
 
+    @pytest.mark.parametrize(
+        "chi, receipts, message",
+        [
+            ("a b", False, "cannot carry"),
+            ("a#b", False, "cannot carry"),
+            ("a\tb", False, "cannot carry"),
+            ("ABCDEFGHIJ0123", True, "10-extra-symbol universe"),
+        ],
+    )
+    def test_leak_that_cannot_be_written_writes_nothing(self, machine_file, echo, tmp_path, chi, receipts, message, capsys):
+        out, receipt = tmp_path / "l.tm", tmp_path / "l.json"
+        argv = ["leak", "--machine", machine_file(echo), "--chi", chi, "--out", str(out)]
+        assert main(argv + (["--receipts", str(receipt)] if receipts else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() and not receipt.exists()
+
+    @pytest.mark.parametrize("chi", ["-", ">", ":", "a->b"])
+    def test_leak_of_arrow_and_colon_symbols_round_trips(self, machine_file, echo, tmp_path, chi, capsys):
+        from traitbench.transforms import leaky_wrap
+
+        out = tmp_path / "l.tm"
+        assert main(["leak", "--machine", machine_file(echo), "--chi", chi, "--out", str(out)]) == 0
+        assert parse_machine(out.read_text()) == leaky_wrap(echo, chi)
+
+    def test_canonicalize_without_an_index_writes_nothing(self, tmp_path, capsys):
+        # No index covers an empty input alphabet, so the twin cannot be reported.
+        machine = tmp_path / "e.tm"
+        machine.write_text("states: 3\nstart: 0\naccept: 1\nreject: 2\ninput_alphabet:\ntape_alphabet: _\ndelta: 0 _ -> 1 _ R\n")
+        out = tmp_path / "c.tm"
+        assert main(["canonicalize", "--machine", str(machine), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_canonicalize_reports_the_index(self, machine_file, echo, tmp_path, capsys):
         out = tmp_path / "canon.tm"
         assert main(["canonicalize", "--machine", machine_file(echo), "--out", str(out)]) == 0
@@ -312,6 +347,13 @@ class TestMeasure:
     def test_bound_check_prints_the_verdict(self, machine_file, echo, capsys):
         assert main(["measure", "--machine", machine_file(echo), "--xi", "n+5", "--max-len", "2"]) == 0
         assert capsys.readouterr().out.strip() == "in-bounds"
+
+    @pytest.mark.parametrize("xi, message", MALFORMED_BOUNDS)
+    def test_malformed_bound_exits_one(self, machine_file, echo, xi, message, capsys):
+        assert main(["measure", "--machine", machine_file(echo), "--xi", xi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
     def test_discriminate_prints_the_delay(self, machine_file, echo, capsys):
         code = main(

@@ -6,7 +6,9 @@ configuration seen so far. It steps every run to its fuel, so fuels far past
 the engine's divergence certificates check the fast-forwarded outcomes.
 
 Validation is checked the same way, against `util.reference_validate`, which
-makes every check rule by rule with no memo and no set checks.
+makes every check rule by rule with no memo and no set checks, and the normal
+form against `util.reference_canonicalize` and `util.reference_is_canonical`,
+which state it field by field without the enumeration's shapes.
 """
 
 import dataclasses
@@ -15,10 +17,20 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.enumeration import decode
+from traitbench.enumeration import decode, is_canonical
 from traitbench.machine import MachineDescription, MachineError, RunKind, run, strings_up_to, trace
 from traitbench.measures import space_measure
-from util import canonical_machines, reference_classify, reference_configs, reference_run, validation_fault
+from traitbench.transforms import canonicalize
+from util import (
+    canonical_machines,
+    noncanonical_machines,
+    reference_canonicalize,
+    reference_classify,
+    reference_configs,
+    reference_is_canonical,
+    reference_run,
+    validation_fault,
+)
 
 
 def reference_space_graph(m, sigma, n):
@@ -154,3 +166,21 @@ def test_validation_agrees_with_the_reference(fields):
         assert (str(exc), exc.rules) == expected
     else:
         assert expected is None
+
+
+def _canonical_twin(canon, m):
+    """canon(m), or the message of the ValueError it raises."""
+    try:
+        return canon(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(noncanonical_machines() | canonical_machines(max_states=5, max_sigma=10, max_extras=10))
+@settings(max_examples=300, deadline=None)
+def test_normal_form_agrees_with_the_reference(m):
+    twin = _canonical_twin(canonicalize, m)
+    assert twin == _canonical_twin(reference_canonicalize, m)
+    assert is_canonical(m) == reference_is_canonical(m)
+    if isinstance(twin, MachineDescription):
+        assert is_canonical(twin) == reference_is_canonical(twin)

@@ -115,6 +115,17 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(pad(echo, 1))
 
+    def test_non_canonical_machine_is_refused_before_the_walk_grows(self, echo, monkeypatch):
+        # An empty walk, so that extending it to the machine's shape would show.
+        from traitbench import enumeration
+        from traitbench.transforms import pad
+
+        for name, empty in (("_shapes", []), ("_starts", []), ("_by_dims", {}), ("_next_code", 0), ("_next_start", 0)):
+            monkeypatch.setattr(enumeration, name, empty)
+        with pytest.raises(ValueError, match="not in canonical form"):
+            encode(pad(echo, 1))
+        assert len(enumeration._shapes) == 0
+
 
 class TestIndexSet:
     def test_buckets_match_direct_pairwise_comparison(self):

@@ -1,6 +1,7 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
 import gc
+import string
 import tracemalloc
 
 import pytest
@@ -380,6 +381,23 @@ class TestParseFormat:
     @settings(max_examples=80, deadline=None)
     def test_format_parse_round_trip(self, m):
         assert parse_machine(format_machine(m)) == m
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_printable_symbols_round_trip_or_are_refused(self, data):
+        symbols = data.draw(st.lists(st.sampled_from(string.printable.replace("_", "")), unique=True, max_size=5))
+        gamma = (*symbols, "_")
+        sigma = tuple(sym for sym in symbols if data.draw(st.booleans()))
+        states = data.draw(st.integers(3, 4))
+        rule = st.tuples(st.integers(0, states - 1), st.sampled_from(gamma), st.sampled_from("LR"))
+        transitions = tuple((q, s, *data.draw(rule)) for q in range(states - 2) for s in gamma)
+        m = MachineDescription(states, 0, states - 2, states - 1, sigma, gamma, "_", transitions)
+        try:
+            text = format_machine(m)
+        except MachineError:
+            assert any(sym.isspace() or sym == "#" for sym in gamma)
+        else:
+            assert parse_machine(text) == m
 
     def test_comments_and_blank_lines_are_ignored(self, echo):
         text = "# header comment\n\n" + format_machine(echo) + "\n# trailing\n"

@@ -23,7 +23,7 @@ from traitbench.measures import (
     usage_within_bound,
 )
 from traitbench.transforms import delay_inject
-from util import canonical_machines, machine_from_rules
+from util import MALFORMED_BOUNDS, canonical_machines, machine_from_rules
 
 
 class TestTimeMeasure:
@@ -171,6 +171,17 @@ class TestBounds:
         for text in ("7", "n", "2n+3", "n+1@2n"):
             bound = parse_bound(text)
             assert parse_bound(bound.describe())(13) == bound(13)
+
+    def test_composition_may_nest_as_deep_as_a_trait(self):
+        assert parse_bound("n+1@" * 100 + "n")(0) == 100
+
+    def test_empty_table_keeps_only_its_default(self):
+        assert parse_bound("table:;default=9") == TableBound((), 9)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_BOUNDS)
+    def test_malformed_bound_is_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_bound(text)
 
     def test_garbage_rejected(self):
         for text in ("", "n^2", "2x+1", "table:"):

@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite: seeded machine generators and a reference stepper."""
+"""Shared helpers for the test suite: seeded machine generators, a reference stepper and the reference normal form."""
 
 from __future__ import annotations
 
@@ -30,6 +30,16 @@ from traitbench.machine import (
 )
 
 MOVES = ("L", "R")
+
+# Bound expressions parse_bound must refuse, each with a phrase of its message.
+MALFORMED_BOUNDS = [
+    ("n@" * 3000 + "n", "nests deeper than 100 compositions"),
+    ("n@" * 101 + "n", "nests deeper than 100 compositions"),
+    ("2n3", "cannot parse bound"),
+    ("n5", "cannot parse bound"),
+    ("table:1,,2;default=3", "empty entry"),
+    ("table:1,2,;default=3", "empty entry"),
+]
 
 
 def random_canonical_machine(
@@ -75,6 +85,38 @@ def canonical_machines(draw, max_states: int = 6, max_sigma: int = 3, max_extras
     """Hypothesis strategy over canonical machines."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_canonical_machine(random.Random(seed), max_states, max_sigma, max_extras)
+
+
+# Both symbol universes, letters outside them, and the two blanks drawn.
+_NONCANONICAL_SYMBOLS = SIGMA_UNIVERSE + EXTRA_UNIVERSE + "klmnopKLMNOP0123#_"
+
+
+@st.composite
+def noncanonical_machines(draw) -> MachineDescription:
+    """Hypothesis strategy over machines the normal form must rename or refuse.
+
+    Roles are shuffled and may put the start on a halting state, states are
+    renamed, symbols come from in and outside the universes in any order,
+    the blank is _ or #, and either alphabet may outgrow its universe by one.
+    """
+    states = draw(st.integers(3, 6))
+    start, accept, reject = draw(st.permutations(range(states)))[:3]
+    if draw(st.integers(0, 3)) == 3:
+        start = draw(st.sampled_from((accept, reject)))
+    blank = draw(st.sampled_from("_#"))
+    symbols = [sym for sym in draw(st.permutations(_NONCANONICAL_SYMBOLS)) if sym != blank]
+    k = draw(st.integers(0, len(SIGMA_UNIVERSE) + 1))
+    extras = draw(st.integers(0, len(EXTRA_UNIVERSE) + 1))
+    sigma = tuple(symbols[:k])
+    gamma = tuple(draw(st.permutations([*symbols[: k + extras], blank])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rules = tuple(
+        (q, sym, rng.randrange(states), rng.choice(gamma), rng.choice(MOVES))
+        for q in range(states)
+        if q not in (accept, reject)
+        for sym in gamma
+    )
+    return MachineDescription(states, start, accept, reject, sigma, gamma, blank, rules)
 
 
 def reference_configs(m, sigma):
@@ -206,3 +248,76 @@ def validation_fault(**fields) -> tuple[str, tuple[Rule, ...]] | None:
     except MachineError as exc:
         return str(exc), exc.rules
     return None
+
+
+# The normal form as it was stated before the shape owned it, kept verbatim as
+# the reference that canonicalize and is_canonical are compared against.
+
+
+def reference_is_canonical(m: MachineDescription) -> bool:
+    """Whether a machine is in the normal form the index bijection covers."""
+    s = m.state_count
+    if (m.start_state, m.accept_state, m.reject_state) != (0, s - 2, s - 1):
+        return False
+    k = len(m.input_alphabet)
+    if not 1 <= k <= len(SIGMA_UNIVERSE):
+        return False
+    if m.input_alphabet != tuple(SIGMA_UNIVERSE[:k]):
+        return False
+    extras = len(m.tape_alphabet) - k - 1
+    if not 0 <= extras <= len(EXTRA_UNIVERSE):
+        return False
+    return m.tape_alphabet == m.input_alphabet + (BLANK,) + tuple(EXTRA_UNIVERSE[:extras]) and m.blank == BLANK
+
+
+def reference_canonicalize(m: MachineDescription) -> MachineDescription:
+    """Rename states and symbols into the indexable normal form.
+
+    The start state becomes 0, accept and reject move to the last two
+    positions, and the remaining states keep their relative order. Input
+    symbols map onto a prefix of the lowercase universe in their original
+    order, the blank stays the blank, and extra tape symbols map onto a
+    prefix of the uppercase universe. The result steps in lockstep with the
+    original, so it is idempotent and preserves the computed function up to
+    the induced re-lettering of the input alphabet.
+    """
+    if m.start_state in m.halting_states:
+        raise ValueError("cannot canonicalize a machine whose start state is accept or reject")
+    if len(m.input_alphabet) > len(SIGMA_UNIVERSE):
+        raise ValueError(f"input alphabet exceeds the {len(SIGMA_UNIVERSE)}-symbol universe")
+    extras = [sym for sym in m.tape_alphabet if sym not in m.input_alphabet and sym != m.blank]
+    if len(extras) > len(EXTRA_UNIVERSE):
+        raise ValueError(f"tape alphabet exceeds the {len(EXTRA_UNIVERSE)}-extra-symbol universe")
+
+    middle = [
+        q
+        for q in range(m.state_count)
+        if q != m.start_state and q not in m.halting_states
+    ]
+    state_map = {m.start_state: 0}
+    for i, q in enumerate(middle, start=1):
+        state_map[q] = i
+    state_map[m.accept_state] = m.state_count - 2
+    state_map[m.reject_state] = m.state_count - 1
+
+    symbol_map = {sym: SIGMA_UNIVERSE[i] for i, sym in enumerate(m.input_alphabet)}
+    symbol_map[m.blank] = BLANK
+    for i, sym in enumerate(extras):
+        symbol_map[sym] = EXTRA_UNIVERSE[i]
+
+    sigma = tuple(SIGMA_UNIVERSE[: len(m.input_alphabet)])
+    gamma = sigma + (BLANK,) + tuple(EXTRA_UNIVERSE[: len(extras)])
+    rules = tuple(
+        (state_map[q], symbol_map[s], state_map[q2], symbol_map[w], mv)
+        for q, s, q2, w, mv in m.transitions
+    )
+    return MachineDescription(
+        state_count=m.state_count,
+        start_state=0,
+        accept_state=m.state_count - 2,
+        reject_state=m.state_count - 1,
+        input_alphabet=sigma,
+        tape_alphabet=gamma,
+        blank=BLANK,
+        transitions=rules,
+    )
