@@ -18,6 +18,7 @@ from .enumeration import decode, encode, index_set_bounded, pair, unpair
 from .machine import (
     MachineDescription,
     MachineError,
+    _natural,
     equiv_bounded,
     format_machine,
     parse_machine,
@@ -227,9 +228,7 @@ def cmd_partition(args) -> int:
 
 
 def _parse_int_set(text: str) -> frozenset[int]:
-    if not text.strip():
-        return frozenset()
-    return frozenset(int(piece) for piece in text.split(","))
+    return frozenset(map(_natural, text.split(","))) if text.strip() else frozenset()
 
 
 def cmd_patch_decider(args) -> int:
@@ -281,14 +280,11 @@ def cmd_contain(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of the count flags: a negative count is a usage error."""
+    """argparse type of the count flags: anything but ASCII decimal digits is a usage error."""
     try:
-        value = int(text)
-    except ValueError:
-        value = -1  # reported like a negative count
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+        return _natural(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:

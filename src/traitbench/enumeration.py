@@ -202,6 +202,8 @@ def is_canonical(m: MachineDescription) -> bool:
 
 def encode(m: MachineDescription) -> int:
     """The index of a canonical machine; inverse of decode."""
+    if not m.input_alphabet:
+        raise ValueError("no index covers a machine with an empty input alphabet")
     if not is_canonical(m):
         raise ValueError("machine is not in canonical form; canonicalize it first")
     sigma_size = len(m.input_alphabet)

@@ -643,9 +643,16 @@ def _parse_role_fields(line: str, number: int) -> list[tuple[str, int]]:
 
 def _parse_int(text: str, what: str, number: int) -> int:
     try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text.strip()!r}", number) from None
+        return _natural(text.strip())
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}", number) from None
+
+
+def _natural(text: str) -> int:
+    """The one reader of numbers in every text grammar: ASCII decimal digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def format_machine(m: MachineDescription) -> str:

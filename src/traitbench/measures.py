@@ -13,7 +13,6 @@ included so that the axiom checker's negative direction can be exercised.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
@@ -21,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 from .machine import (
     MachineDescription,
     RunKind,
+    _natural,
     _simulate,
     run,
     strings_up_to,
@@ -201,18 +201,9 @@ class BoundFunction:
 
 
 @dataclass(frozen=True)
-class ConstantBound(BoundFunction):
-    value: int
-
-    def __call__(self, n: int) -> int:
-        return self.value
-
-    def describe(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class LinearBound(BoundFunction):
+    """slope * n + offset; a constant is the slope-0 bound."""
+
     slope: int
     offset: int
 
@@ -255,9 +246,6 @@ class ComposedBound(BoundFunction):
 # expression, and compositions in a bound, which a trait leaf may carry.
 MAX_TRAIT_DEPTH = 100
 
-# '<a>n', '<a>n+<b>' or '<b>': only a '+' may follow the n-term.
-_LINEAR_RE = re.compile(r"^(?:(\d*)n(?=\+|$))?(?:\+?(\d+))?$")
-
 
 def parse_bound(text: str) -> BoundFunction:
     """Parse a bound: '7', 'n', '2n+3', 'table:1,2;default=9', or f@g composition.
@@ -280,17 +268,14 @@ def parse_bound(text: str) -> BoundFunction:
         entries = listed.split(",") if listed else []
         if "" in entries:
             raise ValueError(f"table bound {text!r} has an empty entry")
-        values = tuple(int(v) for v in entries)
-        return TableBound(values, int(default_text))
-    match = _LINEAR_RE.match(text)
-    if not match or (match.group(1) is None and match.group(2) is None):
+        return TableBound(tuple(map(_natural, entries)), _natural(default_text))
+    if "n" not in text:
+        return LinearBound(0, _natural(text.removeprefix("+")))
+    # Only a '+' may follow the n-term.
+    slope_text, _, rest = text.partition("n")
+    if rest and not rest.startswith("+"):
         raise ValueError(f"cannot parse bound {text!r}")
-    slope_text, offset_text = match.groups()
-    slope = 0 if "n" not in text else int(slope_text) if slope_text else 1
-    offset = int(offset_text) if offset_text else 0
-    if slope == 0:
-        return ConstantBound(offset)
-    return LinearBound(slope, offset)
+    return LinearBound(_natural(slope_text) if slope_text else 1, _natural(rest[1:]) if rest else 0)
 
 
 # --- bounded membership in a cost-bounded machine set ---------------------------

@@ -32,6 +32,7 @@ from .machine import (
     MachineDescription,
     RunKind,
     RunOutcome,
+    _natural,
     run,
     strings_up_to,
 )
@@ -555,13 +556,15 @@ def halting_decider_from_oracle(oracle: Callable[[int, str, int], int]) -> Calla
 def parse_trait(text: str) -> TraitExpr:
     """Parse 'states:3', 'not(E)', 'and(E,E)', 'or(E,E)' into a trait expression.
 
-    Leaf grammar, arguments separated by colons:
+    Leaf grammar, fields separated by colons, [...] optional:
       states:<n>
-      total-nonempty:<max_len>:<fuel>
-      echoes:<max_len>:<fuel>
-      time-within:<bound>:<max_len>:<fuel>
-      space-within:<bound>:<max_len>:<fuel>
-    Leaves may omit their bound arguments to inherit the evaluation bounds.
+      total-nonempty[:<max_len>:<fuel>]
+      echoes[:<max_len>:<fuel>]
+      time-within:<bound>[:<max_len>:<fuel>]
+      space-within:<bound>[:<max_len>:<fuel>]
+    A leaf's last two fields, when both are integers, are its own max_len and
+    fuel; without them it inherits the evaluation bounds. <bound> is
+    parse_bound's grammar, tables included; numbers are ASCII decimal digits.
     Combinators nest at most MAX_TRAIT_DEPTH deep; deeper text raises ValueError.
     """
     return _parse_trait(text, 0)
@@ -582,40 +585,39 @@ def _parse_trait(text: str, depth: int) -> TraitExpr:
 
 
 def _split_top_level(text: str) -> tuple[str, str]:
+    """Split at the first comma outside parentheses and outside a table's entry list."""
     depth = 0
+    in_table = False
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
+        elif ch == ":" and text.endswith("table", 0, i):
+            in_table = True
+        elif ch == ";":
+            in_table = False
+        elif ch == "," and depth == 0 and not in_table:
             return text[:i], text[i + 1 :]
     raise ValueError(f"expected two comma-separated trait expressions in {text!r}")
 
 
 def _parse_leaf(text: str) -> TraitDef:
-    head, _, rest = text.partition(":")
-    args = rest.split(":") if rest else []
+    fields = text.split(":")
+    # A bound never ends in two integer fields, so these are ':max_len:fuel'.
+    baked = fields[-2:] if len(fields) > 2 and all(f.lstrip("-").isdigit() for f in fields[-2:]) else []
+    head, arg = fields[0], ":".join(fields[1 : len(fields) - len(baked)])
     try:
-        if head == "states":
-            (n,) = args
-            return state_count_trait(int(n))
-        if head == "total-nonempty":
-            if not args:
-                return total_on_nonempty_trait()
-            max_len, fuel = args
-            return total_on_nonempty_trait(int(max_len), int(fuel))
-        if head == "echoes":
-            if not args:
-                return echoes_input_trait()
-            max_len, fuel = args
-            return echoes_input_trait(int(max_len), int(fuel))
+        overrides = list(map(_natural, baked))
+        if head == "states" and not baked:
+            return state_count_trait(_natural(arg))
+        if head == "total-nonempty" and not arg:
+            return total_on_nonempty_trait(*overrides)
+        if head == "echoes" and not arg:
+            return echoes_input_trait(*overrides)
         if head in ("time-within", "space-within"):
             measure = time_measure() if head == "time-within" else space_measure()
-            if len(args) == 1:
-                return usage_bounded_trait(measure, parse_bound(args[0]))
-            bound_text, max_len, fuel = args
-            return usage_bounded_trait(measure, parse_bound(bound_text), int(max_len), int(fuel))
+            return usage_bounded_trait(measure, parse_bound(arg), *overrides)
     except ValueError as exc:
         raise ValueError(f"bad trait leaf {text!r}: {exc}") from exc
     raise ValueError(f"unknown trait leaf {text!r}")

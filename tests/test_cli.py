@@ -63,6 +63,8 @@ class TestExitCodes:
             ["contain", "--machine", "m.tm", "--policy", "p.json", "--fuel", "-1"],
             ["pad", "--machine", "m.tm", "--k", "-1", "--out", "p.tm"],
             ["delay", "--machine", "m.tm", "--d", "-2", "--out", "d.tm"],
+            ["run", "--machine", "m.tm", "--fuel", "+5"],
+            ["run", "--machine", "m.tm", "--fuel", "1_0"],
         ],
     )
     def test_negative_count_flags_exit_two(self, args, capsys):
@@ -270,7 +272,8 @@ class TestTransformCommands:
         machine.write_text("states: 3\nstart: 0\naccept: 1\nreject: 2\ninput_alphabet:\ntape_alphabet: _\ndelta: 0 _ -> 1 _ R\n")
         out = tmp_path / "c.tm"
         assert main(["canonicalize", "--machine", str(machine), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty input alphabet" in err
         assert not out.exists()
 
     def test_canonicalize_reports_the_index(self, machine_file, echo, tmp_path, capsys):
@@ -414,6 +417,11 @@ class TestTraitCommands:
         assert code == 0
         assert "mismatches=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("l1", ["1,-3", "1, 3", "1,3.0"])
+    def test_patch_decider_refuses_a_set_member_that_is_not_a_natural(self, l1, capsys):
+        assert main(["patch-decider", "--l1", l1, "--l2", "2"]) == 1
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+
     def test_oracle_wiring_agrees_on_certified_entries(self, capsys):
         code = main(["prop3", "--max-index", "40", "--max-len", "1", "--fuel", "100"])
         assert code == 0
@@ -438,6 +446,15 @@ class TestContain:
         assert lines[-1] == "violated trace_violations=3 output_violations=0"
         assert sum("condition=trace" in line for line in lines) == 3
 
+    def test_inputs_default_to_every_string_up_to_max_len(self, machine_file, echo, policy_file, capsys):
+        from traitbench.transforms import leaky_wrap
+
+        leaky = machine_file(leaky_wrap(echo, "bb"), "leaky.tm")
+        assert main(["contain", "--machine", leaky, "--policy", policy_file, "--max-len", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        # The seven inputs up to length 2 each leak bb, and echo's output on bb is bb.
+        assert lines[-1] == "violated trace_violations=7 output_violations=1"
+        assert sum("condition=trace" in line for line in lines) == 7
 
     @pytest.mark.parametrize(
         "policy",

@@ -372,6 +372,10 @@ def constructor_message(rules, accept=2, reject=3):
     return str(info.value)
 
 
+ROLES = "states: 3\nstart: 0   accept: 1   reject: 2\n"
+ALPHABETS = ROLES + "input_alphabet: a\ntape_alphabet: a_\n"
+
+
 class TestParseFormat:
     def test_fixture_files_round_trip(self):
         for m in all_fixtures().values():
@@ -454,6 +458,34 @@ class TestParseFormat:
             parse_machine(text)
         assert info.value.line == line
         assert str(info.value) == f"line {line}: {constructor_message(rules)}"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            pytest.param("", None, "empty machine description", id="empty"),
+            pytest.param("# a comment\n\n", None, "empty machine description", id="only-comments"),
+            pytest.param("states: 3\n", 1, "unexpected end of description, expected 'start:', 'accept:', and 'reject:'", id="early-end"),
+            pytest.param("start: 0\nstates: 3\n", 1, "expected 'states: <count>'", id="no-states"),
+            pytest.param("states: 3\nstart: 0 start: 1\n", 2, "duplicate 'start:' field", id="repeated-role"),
+            pytest.param("states: 3\nstart:\n", 2, "missing value after 'start:'", id="role-without-value"),
+            pytest.param("states: 3\nbegin: 0\n", 2, "expected 'start:', 'accept:', or 'reject:', got 'begin:'", id="unknown-role"),
+            pytest.param(ROLES + "tape_alphabet: a_\n", 3, "expected 'input_alphabet: <symbols>'", id="no-input-alphabet"),
+            pytest.param(ROLES + "input_alphabet: a\ninput_alphabet: a\n", 4, "expected 'tape_alphabet: <symbols>'", id="no-tape-alphabet"),
+            pytest.param(ROLES + "input_alphabet: a\ntape_alphabet: a\n", 4, "tape alphabet must include the blank symbol '_'", id="tape-without-blank"),
+            pytest.param(ROLES + "input_alphabet: a_\ntape_alphabet: a_\n", 4, "input alphabet must not include the blank symbol '_'", id="input-with-blank"),
+            pytest.param(ALPHABETS + "rule: 0 a -> 1 a R\n", 5, "expected 'delta: <state> <symbol> -> <state> <symbol> <L|R>'", id="not-a-rule"),
+            pytest.param(ALPHABETS + "delta: 0 a 1 a R\n", 5, "malformed rule, expected '<state> <symbol> -> <state> <symbol> <L|R>'", id="malformed-rule"),
+            pytest.param("states: x\n", 1, "state count: expected a nonnegative integer, got 'x'", id="non-decimal-count"),
+            pytest.param("states: -3\n", 1, "state count: expected a nonnegative integer, got '-3'", id="negative-count"),
+            pytest.param("states: 3\nstart: \u0660\n", 2, "start state: expected a nonnegative integer, got '\u0660'", id="non-ascii-digit"),
+            pytest.param(ALPHABETS + "delta: 0 a -> +1 a R\n", 5, "state: expected a nonnegative integer, got '+1'", id="signed-state"),
+        ],
+    )
+    def test_parse_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_machine(text)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
     @pytest.mark.parametrize("accept, reject, message", [(7, 3, "accept state 7 is out of range 0..3"), (3, 3, "accept and reject must be distinct states")])
     def test_role_fault_gives_the_constructor_message(self, accept, reject, message):

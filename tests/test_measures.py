@@ -9,8 +9,8 @@ from traitbench.measures import (
     MEASURES,
     BoundCheckKind,
     ComposedBound,
-    ConstantBound,
     LinearBound,
+    ResourceMeasure,
     TableBound,
     WitnessSearchError,
     broken_step_counter,
@@ -134,6 +134,13 @@ class TestBlumCheck:
         )
         assert any(v.axiom == 1 for v in report.violations)
 
+    def test_a_graph_that_disagrees_with_evaluate_fails_axiom_two(self, echo):
+        time = time_measure()
+        never = ResourceMeasure("never", time.evaluate, lambda m, sigma, n: False)
+        report = check_blum_axioms(never, {0: echo}, lambda m: ["", "a"], 50)
+        cost = time.evaluate(echo, "a", 50)
+        assert report.rows() == [{"machine_index": 0, "input": "a", "measure": "never", "value": cost, "verdict": "axiom2"}]
+
     def test_rows_use_the_fixed_schema(self, looper):
         report = check_blum_axioms(
             broken_step_counter(),
@@ -148,7 +155,7 @@ class TestBlumCheck:
 class TestBounds:
     def test_constant(self):
         bound = parse_bound("7")
-        assert isinstance(bound, ConstantBound)
+        assert bound == LinearBound(0, 7)
         assert bound(0) == bound(100) == 7
 
     def test_identity_and_linear(self):
@@ -168,8 +175,9 @@ class TestBounds:
         assert bound(3) == 7
 
     def test_describe_round_trips_through_parse(self):
-        for text in ("7", "n", "2n+3", "n+1@2n"):
+        for text in ("7", "n", "2n+3", "table:1,2;default=9", "n+1@2n"):
             bound = parse_bound(text)
+            assert bound.describe() == text
             assert parse_bound(bound.describe())(13) == bound(13)
 
     def test_composition_may_nest_as_deep_as_a_trait(self):

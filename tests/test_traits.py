@@ -8,6 +8,7 @@ from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
 from traitbench.machine import EquivKind, equiv_bounded
 from traitbench.measures import parse_bound, time_measure
+from traitbench.transforms import leaky_wrap
 from traitbench.traits import (
     MAX_TRAIT_DEPTH,
     Bounds,
@@ -104,6 +105,13 @@ class TestLeafTraits:
         assert eval_trait(trait, marker, BOUNDS) is OUT
         assert eval_trait(trait, looper, BOUNDS) is UNKNOWN
 
+    def test_contained(self, echo, looper):
+        trait = contained_trait(ContainmentPolicy(("bb",)), 1, 100)
+        assert eval_trait(trait, echo, BOUNDS) is IN
+        assert eval_trait(trait, leaky_wrap(echo, "bb"), BOUNDS) is OUT
+        assert eval_trait(trait, looper, BOUNDS) is UNKNOWN
+        assert trait.declared_kind is DeclaredKind.SYNTACTIC
+
     def test_behavior_trait_with_custom_predicate(self, marker):
         always_outputs_a = FunctionProperty(
             "starts-with-a",
@@ -195,6 +203,27 @@ class TestParseTrait:
     def test_parse_then_name_round_trips(self):
         for text in ("states:3", "not(states:4)", "and(states:3,or(states:4,echoes))"):
             assert expr_name(parse_trait(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time-within:table:1,2;default=9",
+            "space-within:table:1;default=9:2:100",
+            "and(time-within:table:1,2;default=9,states:3)",
+            "or(states:4,space-within:table:3,4,5;default=7:1:50)",
+            "time-within:n+1@table:0,5;default=9",
+        ],
+    )
+    def test_table_bounds_parse_in_leaves(self, text):
+        name = expr_name(parse_trait(text))
+        assert name == text
+        assert expr_name(parse_trait(name)) == name
+
+    def test_a_table_leaf_evaluates_like_its_bound(self, echo):
+        # echo halts after one step on every nonempty input.
+        assert eval_trait(parse_trait("time-within:table:0,1;default=9"), echo, BOUNDS) is IN
+        assert eval_trait(parse_trait("time-within:table:0,1,0;default=9"), echo, BOUNDS) is OUT
+        assert eval_trait(parse_trait("time-within:table:0,1,0;default=9:1:100"), echo, BOUNDS) is IN
 
     def test_baked_bounds_in_leaf_text(self, looper):
         expr = parse_trait("total-nonempty:1:10")
@@ -303,6 +332,12 @@ class TestPartition:
             else:
                 assert row["witness_parameter"] == ""
         assert kinds
+
+    def test_a_semantic_trait_fills_the_sem_part(self):
+        partition = sem_syn_partition(total_on_nonempty_trait(), range(60), probes=2, bounds=Bounds(1, 60))
+        assert partition.sem
+        assert partition.syn == partition.unknown == ()
+        assert [r["index"] for r in partition.rows() if r["part"] == "sem"] == list(partition.sem)
 
     def test_nonmembers_are_left_out_of_every_part(self):
         partition = sem_syn_partition(state_count_trait(4), range(20), probes=2, bounds=Bounds(1, 60))

@@ -39,6 +39,10 @@ MALFORMED_BOUNDS = [
     ("n5", "cannot parse bound"),
     ("table:1,,2;default=3", "empty entry"),
     ("table:1,2,;default=3", "empty entry"),
+    ("table:-3;default=-5", "expected a nonnegative integer"),
+    ("table:1_000;default=2", "expected a nonnegative integer"),
+    ("table: 4;default=6", "expected a nonnegative integer"),
+    ("٣n+1", "expected a nonnegative integer"),
 ]
 
 
