@@ -130,30 +130,18 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _write_transformed(args, kind: str, original: MachineDescription, transformed: MachineDescription, parameter) -> int:
+def cmd_rewrite(args) -> int:
+    rewrite, flag = _REWRITES[args.command][:2]
+    m, parameter = _load_machine(args.machine), getattr(args, flag)
+    transformed = rewrite(m, parameter)
     # Both texts come first, so a machine or receipt that cannot be made leaves no file behind.
     text = format_machine(transformed)
-    receipt = receipt_for(kind, original, transformed, parameter) if args.receipts else None
+    receipt = receipt_for(args.command, m, transformed, parameter) if args.receipts else None
     Path(args.out).write_text(text, "utf-8")
     if receipt is not None:
         Path(args.receipts).write_text(receipt.as_json() + "\n", "utf-8")
-    print(f"{kind}: {original.state_count} -> {transformed.state_count} states, written to {args.out}")
+    print(f"{args.command}: {m.state_count} -> {transformed.state_count} states, written to {args.out}")
     return 0
-
-
-def cmd_pad(args) -> int:
-    m = _load_machine(args.machine)
-    return _write_transformed(args, "pad", m, pad(m, args.k), args.k)
-
-
-def cmd_delay(args) -> int:
-    m = _load_machine(args.machine)
-    return _write_transformed(args, "delay", m, delay_inject(m, args.d), args.d)
-
-
-def cmd_leak(args) -> int:
-    m = _load_machine(args.machine)
-    return _write_transformed(args, "leak", m, leaky_wrap(m, args.chi), args.chi)
 
 
 def cmd_canon(args) -> int:
@@ -193,7 +181,7 @@ def cmd_measure(args) -> int:
     if args.graph is not None:
         print(measure.graph_decide(m, args.input, args.graph))
         return 0
-    value = measure.evaluate(m, args.input, args.fuel)
+    value = measure.evaluate(run(m, args.input, args.fuel))
     print("undefined" if value is None else value)
     return 0
 
@@ -342,6 +330,14 @@ def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace)
             setattr(args, flag, default)
 
 
+# Per rewrite command: the rewrite, its parameter flag, flag type and help, command help, and what --out holds.
+_REWRITES = {
+    "pad": (pad, "k", _count, None, "append unreachable states to a machine", "padded"),
+    "delay": (delay_inject, "d", _count, None, "slow a machine down by exactly d steps per run", "delayed"),
+    "leak": (leaky_wrap, "chi", None, "the string the trace must pass through", "wrap a machine so its trace briefly contains a string", "wrapped"),
+}
+
+
 def _default(command: str, flag: str) -> str:
     return f"(default {_MODE_FLAGS[command][flag][0]!r})"
 
@@ -386,26 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("pad", help="append unreachable states to a machine")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--k", type=_count, required=True)
-    p.add_argument("--out", required=True, help="file to write the padded machine to")
-    p.add_argument("--receipts", help="file to write a JSON receipt to")
-    p.set_defaults(func=cmd_pad)
-
-    p = sub.add_parser("delay", help="slow a machine down by exactly d steps per run")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--d", type=_count, required=True)
-    p.add_argument("--out", required=True, help="file to write the delayed machine to")
-    p.add_argument("--receipts", help="file to write a JSON receipt to")
-    p.set_defaults(func=cmd_delay)
-
-    p = sub.add_parser("leak", help="wrap a machine so its trace briefly contains a string")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--chi", required=True, help="the string the trace must pass through")
-    p.add_argument("--out", required=True, help="file to write the wrapped machine to")
-    p.add_argument("--receipts", help="file to write a JSON receipt to")
-    p.set_defaults(func=cmd_leak)
+    for command, (_, flag, flag_type, flag_help, command_help, made) in _REWRITES.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("--machine", required=True)
+        p.add_argument(f"--{flag}", type=flag_type, required=True, help=flag_help)
+        p.add_argument("--out", required=True, help=f"file to write the {made} machine to")
+        p.add_argument("--receipts", help="file to write a JSON receipt to")
+        p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("canonicalize", help="rename a machine into indexable normal form")
     p.add_argument("--machine", required=True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .machine import (
     MachineDescription,
-    RunKind,
+    RunOutcome,
     _natural,
     _simulate,
     run,
@@ -28,16 +29,21 @@ from .machine import (
 from .transforms import delay_inject
 
 
+# outcome(sigma, fuel): the run of one machine on sigma under that fuel.
+RunLookup = Callable[[str, int], RunOutcome]
+
+
 @dataclass(frozen=True)
 class ResourceMeasure:
+    """evaluate reads the cost off a run its caller made; graph_decide runs without fuel."""
+
     name: str
-    evaluate: Callable[[MachineDescription, str, int], int | None]
+    evaluate: Callable[[RunOutcome], int | None]
     graph_decide: Callable[[MachineDescription, str, int], bool]
 
 
-def _time_evaluate(m: MachineDescription, sigma: str, fuel: int) -> int | None:
-    out = run(m, sigma, fuel)
-    return out.steps if out.kind is RunKind.HALTED_OUTPUT else None
+def _time_evaluate(outcome: RunOutcome) -> int | None:
+    return outcome.steps if outcome.defined else None
 
 
 def _time_graph(m: MachineDescription, sigma: str, n: int) -> bool:
@@ -46,8 +52,7 @@ def _time_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     # is negative.
     if n < 0:
         return False
-    out = run(m, sigma, n)
-    return out.kind is RunKind.HALTED_OUTPUT and out.steps == n
+    return _time_evaluate(run(m, sigma, n)) == n
 
 
 def time_measure() -> ResourceMeasure:
@@ -55,9 +60,8 @@ def time_measure() -> ResourceMeasure:
     return ResourceMeasure("time", _time_evaluate, _time_graph)
 
 
-def _space_evaluate(m: MachineDescription, sigma: str, fuel: int) -> int | None:
-    out = run(m, sigma, fuel)
-    return out.space if out.kind is RunKind.HALTED_OUTPUT else None
+def _space_evaluate(outcome: RunOutcome) -> int | None:
+    return outcome.space if outcome.defined else None
 
 
 def pigeonhole_step_bound(m: MachineDescription, n: int) -> int:
@@ -79,8 +83,7 @@ def _space_graph(m: MachineDescription, sigma: str, n: int) -> bool:
     """
     if n < 0:
         return False
-    outcome = _simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, space_limit=n)
-    return outcome.kind is RunKind.HALTED_OUTPUT and outcome.space == n
+    return _space_evaluate(_simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, space_limit=n)) == n
 
 
 def space_measure() -> ResourceMeasure:
@@ -88,10 +91,10 @@ def space_measure() -> ResourceMeasure:
     return ResourceMeasure("space", _space_evaluate, _space_graph)
 
 
-def _broken_evaluate(m: MachineDescription, sigma: str, fuel: int) -> int | None:
+def _broken_evaluate(outcome: RunOutcome) -> int | None:
     # Returns a step count even for runs that never produced an output, which
     # is exactly what the first axiom forbids.
-    return run(m, sigma, fuel).steps
+    return outcome.steps
 
 
 def broken_step_counter() -> ResourceMeasure:
@@ -156,9 +159,8 @@ def check_blum_axioms(
         for sigma in inputs_for(m):
             checked += 1
             outcome = run(m, sigma, fuel)
-            value = measure.evaluate(m, sigma, fuel)
-            should_be_defined = outcome.kind is RunKind.HALTED_OUTPUT
-            if (value is not None) != should_be_defined:
+            value = measure.evaluate(outcome)
+            if (value is not None) != outcome.defined:
                 violations.append(
                     AxiomViolation(
                         index,
@@ -310,19 +312,25 @@ def usage_within_bound(
     exhausts its fuel, the sweep has certified nothing and the verdict is
     inconclusive.
     """
+    return _usage_within(partial(run, m), m, measure, bound, max_len, fuel)
+
+
+def _usage_within(outcome: RunLookup, m: MachineDescription, measure: ResourceMeasure, bound: BoundFunction, max_len: int, fuel: int) -> BoundVerdict:
+    """usage_within_bound, reading each input's run from outcome(sigma, fuel)."""
     evidence: list[tuple[str, int | None]] = []
     unresolved = False
     any_defined = False
     violation: str | None = None
     for sigma in strings_up_to(m.input_alphabet, max_len):
-        value = measure.evaluate(m, sigma, fuel)
+        ran = outcome(sigma, fuel)
+        value = measure.evaluate(ran)
         evidence.append((sigma, value))
         if value is not None:
             any_defined = True
             if value > bound(len(sigma)):
                 violation = sigma
                 break
-        elif run(m, sigma, fuel).kind is RunKind.FUEL_EXHAUSTED:
+        elif not ran.halted:
             unresolved = True
     if violation is not None:
         return BoundVerdict(BoundCheckKind.VIOLATES, witness=violation, evidence=tuple(evidence))
@@ -384,7 +392,7 @@ def discriminating_witness(
     """
     base: list[tuple[str, int]] = []
     for sigma in strings_up_to(m.input_alphabet, max_len):
-        value = measure.evaluate(m, sigma, fuel)
+        value = measure.evaluate(run(m, sigma, fuel))
         if value is not None:
             base.append((sigma, value))
     if not base:
@@ -393,7 +401,7 @@ def discriminating_witness(
         candidate = delay_inject(m, d)
         evidence: list[tuple[str, int, int]] = []
         for sigma, base_value in base:
-            raised = measure.evaluate(candidate, sigma, fuel + d)
+            raised = measure.evaluate(run(candidate, sigma, fuel + d))
             if raised is None or raised <= base_value:
                 evidence = []
                 break

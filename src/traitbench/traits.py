@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, partial
 from typing import Callable, Collection, Iterable, Mapping
 
 from .containment import ContainmentPolicy, ContainmentVerdict, containment_check
@@ -41,10 +42,11 @@ from .measures import (
     BoundCheckKind,
     BoundFunction,
     ResourceMeasure,
+    RunLookup,
+    _usage_within,
     parse_bound,
     space_measure,
     time_measure,
-    usage_within_bound,
 )
 from .transforms import delay_inject, leaky_wrap, pad
 
@@ -119,7 +121,7 @@ class TraitDef(_TraitOps):
     """
 
     name: str
-    evaluator: Callable[[MachineDescription, Bounds], Verdict]
+    evaluator: Callable[[MachineDescription, Bounds, RunLookup], Verdict]
     declared_kind: DeclaredKind = DeclaredKind.UNKNOWN
 
 
@@ -148,17 +150,22 @@ def eval_trait(expr: TraitExpr, m: MachineDescription, bounds: Bounds) -> Verdic
 
     The right side of a union is skipped once the left is In, and that of an
     intersection once the left is Out: the Kleene result is already fixed.
+    The leaves share one run per (input, fuel), made on first use.
     """
+    return _eval(expr, m, bounds, cache(partial(run, m)))
+
+
+def _eval(expr: TraitExpr, m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
     if isinstance(expr, TraitDef):
-        return expr.evaluator(m, bounds)
+        return expr.evaluator(m, bounds, outcome)
     if isinstance(expr, TraitUnion):
-        left = eval_trait(expr.left, m, bounds)
-        return left if left is Verdict.IN else kleene_or(left, eval_trait(expr.right, m, bounds))
+        left = _eval(expr.left, m, bounds, outcome)
+        return left if left is Verdict.IN else kleene_or(left, _eval(expr.right, m, bounds, outcome))
     if isinstance(expr, TraitIntersection):
-        left = eval_trait(expr.left, m, bounds)
-        return left if left is Verdict.OUT else kleene_and(left, eval_trait(expr.right, m, bounds))
+        left = _eval(expr.left, m, bounds, outcome)
+        return left if left is Verdict.OUT else kleene_and(left, _eval(expr.right, m, bounds, outcome))
     if isinstance(expr, TraitComplement):
-        return kleene_not(eval_trait(expr.inner, m, bounds))
+        return kleene_not(_eval(expr.inner, m, bounds, outcome))
     raise TypeError(f"not a trait expression: {expr!r}")
 
 
@@ -180,7 +187,7 @@ def expr_name(expr: TraitExpr) -> str:
 def state_count_trait(n: int) -> TraitDef:
     """Machines with exactly n states. Purely structural."""
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
+    def evaluator(m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
         return Verdict.IN if m.state_count == n else Verdict.OUT
 
     return TraitDef(f"states:{n}", evaluator, DeclaredKind.SYNTACTIC)
@@ -191,9 +198,9 @@ def _leaf(
     kind: DeclaredKind,
     max_len: int | None,
     fuel: int | None,
-    decide: Callable[[MachineDescription, int, int], Verdict],
+    decide: Callable[[MachineDescription, RunLookup, int, int], Verdict],
 ) -> TraitDef:
-    """A leaf that calls decide(m, max_len, fuel) under its own bounds where given.
+    """A leaf that calls decide(m, outcome, max_len, fuel) under its own bounds where given.
 
     A given max_len or fuel overrides the evaluation bounds, and a given
     max_len puts the ':max_len:fuel' suffix on the name. A negative override
@@ -202,8 +209,8 @@ def _leaf(
     if (max_len is not None and max_len < 0) or (fuel is not None and fuel < 0):
         raise ValueError("leaf bounds must be nonnegative")
 
-    def evaluator(m: MachineDescription, bounds: Bounds) -> Verdict:
-        return decide(m, bounds.max_len if max_len is None else max_len, bounds.fuel if fuel is None else fuel)
+    def evaluator(m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
+        return decide(m, outcome, bounds.max_len if max_len is None else max_len, bounds.fuel if fuel is None else fuel)
 
     suffix = "" if max_len is None else f":{max_len}:{fuel}"
     return TraitDef(name + suffix, evaluator, kind)
@@ -219,15 +226,15 @@ def total_on_nonempty_trait(max_len: int | None = None, fuel: int | None = None)
     verdict Unknown.
     """
 
-    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
+    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
         unknown = False
         for sigma in strings_up_to(m.input_alphabet, max_len):
             if not sigma:
                 continue
-            outcome = run(m, sigma, fuel)
-            if outcome.kind is RunKind.HALTED_UNDEFINED:
+            kind = outcome(sigma, fuel).kind
+            if kind is RunKind.HALTED_UNDEFINED:
                 return Verdict.OUT
-            if outcome.kind is RunKind.FUEL_EXHAUSTED:
+            if kind is RunKind.FUEL_EXHAUSTED:
                 unknown = True
         return Verdict.UNKNOWN if unknown else Verdict.IN
 
@@ -254,8 +261,8 @@ def usage_bounded_trait(
     cannot be a function of behaviour alone.
     """
 
-    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
-        return _BOUND_VERDICTS[usage_within_bound(m, measure, bound, max_len, fuel).kind]
+    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
+        return _BOUND_VERDICTS[_usage_within(outcome, m, measure, bound, max_len, fuel).kind]
 
     return _leaf(f"{measure.name}-within:{bound.describe()}", DeclaredKind.SYNTACTIC, max_len, fuel, decide)
 
@@ -270,7 +277,7 @@ _CONTAINMENT_VERDICTS = {
 def contained_trait(policy: ContainmentPolicy, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Machines whose traces and outputs respect a containment policy."""
 
-    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
+    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
         report = containment_check(m, policy, strings_up_to(m.input_alphabet, max_len), fuel)
         return _CONTAINMENT_VERDICTS[report.verdict]
 
@@ -294,13 +301,13 @@ class FunctionProperty:
 def behavior_trait(prop: FunctionProperty, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Lift a function property to a trait by sampling runs up to the bounds."""
 
-    def decide(m: MachineDescription, max_len: int, fuel: int) -> Verdict:
+    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
         samples = []
         for sigma in strings_up_to(m.input_alphabet, max_len):
-            outcome = run(m, sigma, fuel)
-            if outcome.kind is RunKind.FUEL_EXHAUSTED:
+            ran = outcome(sigma, fuel)
+            if not ran.halted:
                 return Verdict.UNKNOWN
-            samples.append((sigma, outcome))
+            samples.append((sigma, ran))
         return Verdict.IN if prop.predicate(tuple(samples)) else Verdict.OUT
 
     return _leaf(prop.name, DeclaredKind.SEMANTIC, max_len, fuel, decide)
@@ -599,6 +606,8 @@ def _split_top_level(text: str) -> tuple[str, str]:
             in_table = False
         elif ch == "," and depth == 0 and not in_table:
             return text[:i], text[i + 1 :]
+    if in_table:
+        raise ValueError("table bound needs ';default=<value>'")
     raise ValueError(f"expected two comma-separated trait expressions in {text!r}")
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench.machine import MachineError, strings_up_to
+from traitbench import measures
+from traitbench.machine import MachineError, run, strings_up_to
 from traitbench.measures import (
     MEASURES,
     BoundCheckKind,
@@ -29,10 +30,10 @@ from util import MALFORMED_BOUNDS, canonical_machines, machine_from_rules
 class TestTimeMeasure:
     def test_defined_exactly_on_halting_output_runs(self, echo, looper, eraser):
         time = time_measure()
-        assert time.evaluate(echo, "ab", 100) == 1
-        assert time.evaluate(echo, "", 100) is None  # halts, but no output
-        assert time.evaluate(looper, "a", 100) is None
-        assert time.evaluate(eraser, "ab", 100) is None
+        assert time.evaluate(run(echo, "ab", 100)) == 1
+        assert time.evaluate(run(echo, "", 100)) is None  # halts, but no output
+        assert time.evaluate(run(looper, "a", 100)) is None
+        assert time.evaluate(run(eraser, "ab", 100)) is None
 
     def test_graph_accepts_only_the_exact_cost(self, echo):
         time = time_measure()
@@ -62,9 +63,9 @@ class TestTimeMeasure:
 class TestSpaceMeasure:
     def test_counts_scanned_cells(self, echo, eraser):
         space = space_measure()
-        assert space.evaluate(echo, "ab", 100) == 1
-        assert space.evaluate(eraser, "ab", 100) is None  # undefined output
-        assert space.evaluate(echo, "a", 100) == 1
+        assert space.evaluate(run(echo, "ab", 100)) == 1
+        assert space.evaluate(run(eraser, "ab", 100)) is None  # undefined output
+        assert space.evaluate(run(echo, "a", 100)) == 1
 
     def test_graph_decides_without_fuel(self, echo, looper):
         space = space_measure()
@@ -106,7 +107,7 @@ class TestSpaceMeasure:
         # must accept exactly that value.
         space = space_measure()
         sigma = m.input_alphabet[0] * n
-        value = space.evaluate(m, sigma, 300)
+        value = space.evaluate(run(m, sigma, 300))
         if value is not None and value <= 4:
             assert space.graph_decide(m, sigma, value)
             assert not space.graph_decide(m, sigma, value + 1)
@@ -138,8 +139,23 @@ class TestBlumCheck:
         time = time_measure()
         never = ResourceMeasure("never", time.evaluate, lambda m, sigma, n: False)
         report = check_blum_axioms(never, {0: echo}, lambda m: ["", "a"], 50)
-        cost = time.evaluate(echo, "a", 50)
+        cost = time.evaluate(run(echo, "a", 50))
         assert report.rows() == [{"machine_index": 0, "input": "a", "measure": "never", "value": cost, "verdict": "axiom2"}]
+
+    def test_each_pair_runs_once_at_the_sweep_fuel(self, echo, looper, eraser, monkeypatch):
+        runs = []
+
+        def counted(m, sigma, fuel):
+            runs.append((m, sigma, fuel))
+            return run(m, sigma, fuel)
+
+        monkeypatch.setattr(measures, "run", counted)
+        machines = {0: echo, 1: looper, 2: eraser}
+        for measure in (time_measure(), space_measure(), broken_step_counter()):
+            runs.clear()
+            report = check_blum_axioms(measure, machines, lambda m: strings_up_to(m.input_alphabet, 1), 77)
+            swept = [(m, sigma) for m, sigma, fuel in runs if fuel == 77]
+            assert len(swept) == len(set(swept)) == report.pairs_checked == 9
 
     def test_rows_use_the_fixed_schema(self, looper):
         report = check_blum_axioms(
@@ -221,6 +237,19 @@ class TestUsageWithinBound:
         verdict = usage_within_bound(slow, time_measure(), parse_bound("n+5"), 2, 100)
         assert verdict.kind is BoundCheckKind.VIOLATES
         assert verdict.witness == "a"
+
+    def test_each_input_runs_once(self, echo, eraser, looper, monkeypatch):
+        runs = []
+
+        def counted(m, sigma, fuel):
+            runs.append(sigma)
+            return run(m, sigma, fuel)
+
+        monkeypatch.setattr(measures, "run", counted)
+        for m in (echo, eraser, looper):
+            runs.clear()
+            verdict = usage_within_bound(m, time_measure(), parse_bound("n+5"), 2, 50)
+            assert runs == [sigma for sigma, _ in verdict.evidence] == list(strings_up_to(m.input_alphabet, 2))
 
     def test_evidence_lists_every_tested_input(self, echo):
         verdict = usage_within_bound(echo, time_measure(), parse_bound("n+5"), 1, 100)

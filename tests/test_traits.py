@@ -1,14 +1,17 @@
 """Trait algebra, semanticity probing, partitioning, and oracle wiring."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitbench import measures, traits
 from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
-from traitbench.machine import EquivKind, equiv_bounded
+from traitbench.machine import EquivKind, equiv_bounded, run
 from traitbench.measures import parse_bound, time_measure
-from traitbench.transforms import leaky_wrap
+from traitbench.transforms import delay_inject, leaky_wrap
 from traitbench.traits import (
     MAX_TRAIT_DEPTH,
     Bounds,
@@ -95,8 +98,6 @@ class TestLeafTraits:
         trait = usage_bounded_trait(time_measure(), parse_bound("n+5"))
         assert eval_trait(trait, echo, BOUNDS) is IN
         assert eval_trait(trait, looper, BOUNDS) is UNKNOWN
-        from traitbench.transforms import delay_inject
-
         assert eval_trait(trait, delay_inject(echo, 10), BOUNDS) is OUT
 
     def test_echoes_input(self, echo, marker, looper):
@@ -128,16 +129,16 @@ CHEAP_LEAVES = (
     total_on_nonempty_trait(),
     echoes_input_trait(1, 8),
     usage_bounded_trait(time_measure(), parse_bound("n+2")),
-    TraitDef("in", lambda m, b: IN),
-    TraitDef("out", lambda m, b: OUT),
-    TraitDef("unknown", lambda m, b: UNKNOWN),
+    TraitDef("in", lambda m, b, outcome: IN),
+    TraitDef("out", lambda m, b, outcome: OUT),
+    TraitDef("unknown", lambda m, b, outcome: UNKNOWN),
 )
 
 
 def full_kleene(expr, m, bounds):
     """Evaluate every node, both sides of every combinator included."""
     if isinstance(expr, TraitDef):
-        return expr.evaluator(m, bounds)
+        return expr.evaluator(m, bounds, partial(run, m))
     if isinstance(expr, TraitComplement):
         return kleene_not(full_kleene(expr.inner, m, bounds))
     left, right = full_kleene(expr.left, m, bounds), full_kleene(expr.right, m, bounds)
@@ -160,7 +161,7 @@ class TestExpressions:
 
     def test_decided_left_side_skips_the_right(self, echo):
         calls = []
-        right = TraitDef("right", lambda m, b: calls.append(m) or UNKNOWN)
+        right = TraitDef("right", lambda m, b, outcome: calls.append(m) or UNKNOWN)
         assert eval_trait(state_count_trait(4) & right, echo, BOUNDS) is OUT
         assert eval_trait(state_count_trait(3) | right, echo, BOUNDS) is IN
         assert calls == []
@@ -182,6 +183,25 @@ class TestExpressions:
     @settings(max_examples=150, deadline=None)
     def test_short_circuit_agrees_with_full_kleene_evaluation(self, expr, m):
         assert eval_trait(expr, m, Bounds(1, 20)) is full_kleene(expr, m, Bounds(1, 20))
+
+    def test_leaves_share_one_run_per_input_and_fuel(self, echo, monkeypatch):
+        runs = []
+
+        def counted(m, sigma, fuel):
+            runs.append((sigma, fuel))
+            return run(m, sigma, fuel)
+
+        monkeypatch.setattr(traits, "run", counted)
+        monkeypatch.setattr(measures, "run", counted)
+        expr = parse_trait("and(time-within:n+5,total-nonempty)")
+        assert eval_trait(expr, echo, Bounds(2, 100)) is IN
+        assert len(runs) == len(set(runs)) == 7
+
+    def test_the_run_table_tells_fuels_apart(self, echo):
+        # At fuel 5 the delayed echo has not halted; at fuel 50 it has.
+        slow = delay_inject(echo, 10)
+        assert eval_trait(parse_trait("total-nonempty:1:5"), slow, BOUNDS) is UNKNOWN
+        assert eval_trait(parse_trait("or(total-nonempty:1:5,total-nonempty:1:50)"), slow, BOUNDS) is IN
 
     def test_expression_names_are_readable(self):
         expr = state_count_trait(3) & ~state_count_trait(4)
@@ -264,6 +284,11 @@ class TestParseTrait:
         with pytest.raises(ValueError, match="nests deeper"):
             parse_trait(nested(3000))
 
+    def test_a_table_without_default_inside_a_combinator_says_so(self):
+        for text in ("time-within:table:1,2", "and(time-within:table:1,2,states:3)"):
+            with pytest.raises(ValueError, match="table bound needs ';default=<value>'"):
+                parse_trait(text)
+
     def test_garbage_rejected(self):
         for text in ("", "states", "states:x", "nand(states:3,states:4)", "and(states:3", "frobnicate"):
             with pytest.raises(ValueError):
@@ -312,7 +337,7 @@ class TestPartition:
         # have 5, 7 and 9, so only the 3-state indices are members and every
         # one of their variants stays In.
         seen = []
-        trait = TraitDef("not-four", lambda m, b: seen.append(m) or (OUT if m.state_count == 4 else IN))
+        trait = TraitDef("not-four", lambda m, b, outcome: seen.append(m) or (OUT if m.state_count == 4 else IN))
         partition = sem_syn_partition(trait, range(140, 150), probes=3, bounds=BOUNDS, kinds=("delay",))
         assert partition.unknown == (140, 141, 142, 143)
         originals = [decode(n) for n in range(140, 150)]
