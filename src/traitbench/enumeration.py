@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from math import isqrt
 from typing import Mapping
@@ -42,7 +42,8 @@ from .machine import (
     EquivKind,
     MachineDescription,
     Rule,
-    equiv_bounded,
+    _equiv,
+    run,
 )
 
 SIGMA_UNIVERSE = "abcdefghij"
@@ -253,9 +254,11 @@ def index_set_bounded(reference: MachineDescription, max_index: int, max_len: in
 
     Machines whose input alphabet differs from the reference's are counted as
     differing outright: the sweep compares behaviour on the reference's own
-    input strings, which such machines cannot even be run on.
+    input strings, which such machines cannot even be run on. The reference
+    runs once per input for the whole sweep.
     """
     ref_sigma = set(reference.input_alphabet)
+    reference_run = cache(partial(run, reference))
     agree: list[int] = []
     inconclusive: list[int] = []
     differ: list[int] = []
@@ -265,7 +268,7 @@ def index_set_bounded(reference: MachineDescription, max_index: int, max_len: in
         if set(candidate.input_alphabet) != ref_sigma:
             differ.append(n)
             continue
-        verdict = equiv_bounded(candidate, reference, max_len, fuel)
+        verdict = _equiv(candidate, reference_run, max_len, fuel)
         if verdict.witness is not None:
             witnesses[n] = verdict.witness
         if verdict.kind is EquivKind.AGREE:

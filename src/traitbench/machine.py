@@ -56,10 +56,10 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 LEFT = "L"
 RIGHT = "R"
@@ -269,6 +269,10 @@ class RunOutcome:
         return self.kind is RunKind.HALTED_OUTPUT
 
 
+# outcome(sigma, fuel): the run of one machine on sigma under that fuel.
+RunLookup = Callable[[str, int], RunOutcome]
+
+
 @dataclass(frozen=True, slots=True)
 class Configuration:
     """A machine snapshot: control state, head cell, and the non-blank tape cells."""
@@ -295,17 +299,11 @@ class _Snapshot(Mapping[int, str]):
         self.cells = cells
         self.blank = blank
 
-    def get(self, cell: int, default: str | None = None) -> str | None:
+    def __getitem__(self, cell: int) -> str:
         i = cell - self.base
         if 0 <= i < len(self.cells) and self.cells[i] != self.blank:
             return self.cells[i]
-        return default
-
-    def __getitem__(self, cell: int) -> str:
-        symbol = self.get(cell)
-        if symbol is None:
-            raise KeyError(cell)
-        return symbol
+        raise KeyError(cell)
 
     def __iter__(self) -> Iterator[int]:
         return (self.base + i for i, symbol in enumerate(self.cells) if symbol != self.blank)
@@ -518,10 +516,15 @@ def equiv_bounded(a: MachineDescription, b: MachineDescription, max_len: int, fu
     """
     if set(a.input_alphabet) != set(b.input_alphabet):
         raise MachineError("machines have different input alphabets and compute functions over different strings")
+    return _equiv(a, partial(run, b), max_len, fuel)
+
+
+def _equiv(a: MachineDescription, reference: RunLookup, max_len: int, fuel: int) -> EquivVerdict:
+    """equiv_bounded, reading the other machine's run from reference(sigma, fuel)."""
     unsettled: str | None = None
     for sigma in strings_up_to(a.input_alphabet, max_len):
         out_a = run(a, sigma, fuel)
-        out_b = run(b, sigma, fuel)
+        out_b = reference(sigma, fuel)
         if not out_a.halted or not out_b.halted:
             if unsettled is None:
                 unsettled = sigma

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 from .machine import (
     MachineDescription,
+    RunLookup,
     RunOutcome,
     _natural,
     _simulate,
@@ -27,10 +28,6 @@ from .machine import (
     strings_up_to,
 )
 from .transforms import delay_inject
-
-
-# outcome(sigma, fuel): the run of one machine on sigma under that fuel.
-RunLookup = Callable[[str, int], RunOutcome]
 
 
 @dataclass(frozen=True)
@@ -352,28 +349,12 @@ class DiscriminationWitness:
     delay: int
     evidence: tuple[tuple[str, int, int], ...]  # (input, base cost, raised cost)
 
-    def rows(self, measure_name: str, machine_index: int | str = "") -> list[dict[str, object]]:
-        out: list[dict[str, object]] = []
-        for sigma, base, raised in self.evidence:
-            out.append(
-                {
-                    "machine_index": machine_index,
-                    "input": sigma,
-                    "measure": measure_name,
-                    "value": base,
-                    "verdict": "base",
-                }
-            )
-            out.append(
-                {
-                    "machine_index": machine_index,
-                    "input": sigma,
-                    "measure": measure_name,
-                    "value": raised,
-                    "verdict": f"delayed+{self.delay}",
-                }
-            )
-        return out
+    def rows(self, measure_name: str) -> list[dict[str, object]]:
+        return [
+            {"machine_index": "", "input": sigma, "measure": measure_name, "value": value, "verdict": verdict}
+            for sigma, base, raised in self.evidence
+            for value, verdict in ((base, "base"), (raised, f"delayed+{self.delay}"))
+        ]
 
 
 def discriminating_witness(

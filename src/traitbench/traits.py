@@ -32,6 +32,7 @@ from .enumeration import decode
 from .machine import (
     MachineDescription,
     RunKind,
+    RunLookup,
     RunOutcome,
     _natural,
     run,
@@ -42,7 +43,6 @@ from .measures import (
     BoundCheckKind,
     BoundFunction,
     ResourceMeasure,
-    RunLookup,
     _usage_within,
     parse_bound,
     space_measure,
@@ -358,19 +358,25 @@ def probe_semanticity(
     of behaviour alone; if every variant stays In the result says so, since
     that (and only that) supports reading the trait as semantic here.
     """
-    if eval_trait(trait, m, bounds) is not Verdict.IN:
+    result = _probe(trait, m, probes, bounds, kinds)
+    if result is None:
         raise ValueError("semanticity probing starts from a machine the trait contains")
-    return _probe_variants(trait, m, probes, bounds, kinds)
+    return result
 
 
-def _probe_variants(
+def _probe(
     trait: TraitExpr,
     m: MachineDescription,
     probes: int,
     bounds: Bounds,
     kinds: tuple[str, ...],
-) -> ProbeResult:
-    """The variant loop of probe_semanticity, for an m already evaluated In."""
+) -> ProbeResult | None:
+    """Evaluate m, then probe it as probe_semanticity does; None when m is not In."""
+    if probes < 0:
+        raise ValueError("probes must be nonnegative")
+    outcome = cache(partial(run, m))
+    if _eval(trait, m, bounds, outcome) is not Verdict.IN:
+        return None
     usable = [kind for kind in kinds if kind != "leak" or m.input_alphabet]
     if not usable:
         raise ValueError("no applicable probe kinds for this machine")
@@ -385,7 +391,8 @@ def _probe_variants(
         else:
             leaked = m.input_alphabet[0] * scale
             variant, parameter = leaky_wrap(m, leaked), leaked
-        verdict = eval_trait(trait, variant, bounds)
+        # pad's new states are unreachable, so each run of a pad variant is m's run.
+        verdict = _eval(trait, variant, bounds, outcome) if kind == "pad" else eval_trait(trait, variant, bounds)
         if verdict is Verdict.OUT:
             return ProbeResult(variant, kind, parameter, i + 1, False)
         if verdict is not Verdict.IN:
@@ -448,10 +455,9 @@ def sem_syn_partition(
     witness_kinds: dict[int, str] = {}
     witness_parameters: dict[int, str] = {}
     for n in universe_tuple:
-        m = decode(n)
-        if eval_trait(trait, m, bounds) is not Verdict.IN:
+        result = _probe(trait, decode(n), probes, bounds, kinds)
+        if result is None:
             continue
-        result = _probe_variants(trait, m, probes, bounds, kinds)
         if result.found:
             syn.append(n)
             witness_kinds[n] = result.witness_kind or ""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench import machine
+from traitbench import enumeration, machine
 from traitbench.cli import main
 from traitbench.enumeration import decode, encode, index_set_bounded, is_canonical, pair, unpair
 from traitbench.machine import EquivKind, MachineError, equiv_bounded
@@ -161,6 +161,21 @@ class TestIndexSet:
         assert result.differ == tuple(range(11))
         assert not result.agree and not result.inconclusive
         assert [row["witness"] for row in result.rows()] == [None] * 11
+
+    def test_the_reference_runs_once_per_input(self, monkeypatch):
+        reference, real_run = decode(16), machine.run
+        runs = []
+
+        def counted(m, sigma, fuel):
+            if m is reference:
+                runs.append(sigma)
+            return real_run(m, sigma, fuel)
+
+        monkeypatch.setattr(machine, "run", counted)
+        monkeypatch.setattr(enumeration, "run", counted)
+        result = index_set_bounded(reference, 59, 1, 60)
+        assert len(result.inconclusive) + len(result.differ) == 60
+        assert runs == ["", "a"]
 
     def test_rows_cover_zero_through_max_index_inclusive(self):
         result = index_set_bounded(decode(0), 15, 1, 40)

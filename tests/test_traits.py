@@ -40,7 +40,7 @@ from traitbench.traits import (
     total_on_nonempty_trait,
     usage_bounded_trait,
 )
-from util import canonical_machines
+from util import canonical_machines, reference_partition
 
 IN, OUT, UNKNOWN = Verdict.IN, Verdict.OUT, Verdict.UNKNOWN
 BOUNDS = Bounds(max_len=2, fuel=100)
@@ -322,6 +322,25 @@ class TestProbeSemanticity:
         with pytest.raises(ValueError):
             probe_semanticity(state_count_trait(9), echo, probes=2, bounds=BOUNDS)
 
+    def test_negative_probes_are_refused(self, echo):
+        with pytest.raises(ValueError, match="probes must be nonnegative"):
+            probe_semanticity(state_count_trait(3), echo, -1, BOUNDS)
+
+    def test_pad_variants_read_the_members_runs(self, echo, monkeypatch):
+        runs = []
+
+        def counted(m, sigma, fuel):
+            runs.append((m, sigma, fuel))
+            return run(m, sigma, fuel)
+
+        monkeypatch.setattr(traits, "run", counted)
+        monkeypatch.setattr(measures, "run", counted)
+        result = probe_semanticity(total_on_nonempty_trait(), echo, 1, BOUNDS, kinds=("pad",))
+        assert result.all_in and result.variants_checked == 1
+        # Six nonempty inputs up to length 2, each run once, on the member only.
+        assert len(runs) == len(set(runs)) == 6
+        assert {m for m, _, _ in runs} == {echo}
+
 
 class TestPartition:
     def test_state_count_members_are_all_syntactic(self):
@@ -367,6 +386,19 @@ class TestPartition:
     def test_nonmembers_are_left_out_of_every_part(self):
         partition = sem_syn_partition(state_count_trait(4), range(20), probes=2, bounds=Bounds(1, 60))
         assert partition.sem == partition.syn == partition.unknown == ()
+
+    def test_negative_probes_are_refused(self):
+        with pytest.raises(ValueError, match="probes must be nonnegative"):
+            sem_syn_partition(state_count_trait(3), range(20), probes=-1, bounds=BOUNDS)
+
+    # Each mixes a structural leaf, or a cost leaf, with leaves that read runs.
+    @pytest.mark.parametrize("text", ["or(states:4,echoes)", "and(total-nonempty,states:3)", "and(time-within:n+5,total-nonempty)"])
+    def test_matches_a_probe_that_runs_every_variant_afresh(self, text):
+        trait = parse_trait(text)
+        window = range(100, 260)
+        partition = sem_syn_partition(trait, window, probes=4, bounds=BOUNDS)
+        assert partition.syn
+        assert partition == reference_partition(trait, window, 4, BOUNDS, traits.PROBE_KINDS)
 
 
 class TestFinitePatch:

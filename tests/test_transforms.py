@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from traitbench.enumeration import encode
 from traitbench.fixtures import all_fixtures
-from traitbench.machine import EquivKind, RunKind, equiv_bounded, format_machine, render_tape, run, trace
+from traitbench.machine import EquivKind, RunKind, equiv_bounded, format_machine, render_tape, run, strings_up_to, trace
 from traitbench.transforms import TransformReceipt, canonicalize, delay_inject, leaky_wrap, pad, receipt_for
 from util import canonical_machines
 
@@ -41,6 +41,8 @@ class TestPad:
     def test_never_separates_from_the_original(self, m, k):
         verdict = equiv_bounded(m, pad(m, k), 2, 100)
         assert verdict.kind is not EquivKind.DIFFER
+        # Semanticity probes read a member's runs for its pad variants, steps and space included.
+        assert all(run(pad(m, k), sigma, 100) == run(m, sigma, 100) for sigma in strings_up_to(m.input_alphabet, 2))
 
 
 class TestDelayInject:

@@ -13,7 +13,7 @@ from traitbench.containment import (
     OutputViolation,
     TraceViolation,
 )
-from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE
+from traitbench.enumeration import EXTRA_UNIVERSE, SIGMA_UNIVERSE, decode
 from traitbench.machine import (
     BLANK,
     LEFT,
@@ -28,6 +28,8 @@ from traitbench.machine import (
     render_tape,
     trace,
 )
+from traitbench.traits import DeclaredKind, ProbeResult, SemSynPartition, TraitDef, Verdict, eval_trait, expr_name
+from traitbench.transforms import delay_inject, leaky_wrap, pad
 
 MOVES = ("L", "R")
 
@@ -187,6 +189,45 @@ def reference_containment(m, policy, inputs, fuel):
     else:
         verdict = ContainmentVerdict.CONTAINED
     return ContainmentReport(verdict, tuple(trace_violations), tuple(output_violations), tuple(unresolved))
+
+
+def reference_probe(trait, m, probes, bounds, kinds):
+    """probe_semanticity's result, or None when m is not In, with each machine evaluated by eval_trait on fresh runs."""
+    if eval_trait(trait, m, bounds) is not Verdict.IN:
+        return None
+    usable = [kind for kind in kinds if kind != "leak" or m.input_alphabet]
+    all_in = True
+    for i in range(probes):
+        kind, scale = usable[i % len(usable)], i // len(usable) + 1
+        if kind == "pad":
+            variant, parameter = pad(m, scale), str(scale)
+        elif kind == "delay":
+            variant, parameter = delay_inject(m, 2 * scale), str(2 * scale)
+        else:
+            parameter = m.input_alphabet[0] * scale
+            variant = leaky_wrap(m, parameter)
+        verdict = eval_trait(trait, variant, bounds)
+        if verdict is Verdict.OUT:
+            return ProbeResult(variant, kind, parameter, i + 1, False)
+        all_in = all_in and verdict is Verdict.IN
+    return ProbeResult(None, None, None, probes, all_in)
+
+
+def reference_partition(trait, universe, probes, bounds, kinds) -> SemSynPartition:
+    """sem_syn_partition built from reference_probe."""
+    declared_semantic = isinstance(trait, TraitDef) and trait.declared_kind is DeclaredKind.SEMANTIC
+    parts = {"sem": [], "syn": [], "unknown": []}
+    witness_kinds, witness_parameters = {}, {}
+    for n in universe:
+        result = reference_probe(trait, decode(n), probes, bounds, kinds)
+        if result is None:
+            continue
+        if result.found:
+            parts["syn"].append(n)
+            witness_kinds[n], witness_parameters[n] = result.witness_kind, result.witness_parameter
+        else:
+            parts["sem" if result.all_in and declared_semantic else "unknown"].append(n)
+    return SemSynPartition(expr_name(trait), tuple(universe), *map(tuple, parts.values()), witness_kinds, witness_parameters)
 
 
 def unvalidated_machine(**fields) -> MachineDescription:
