@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import product
 from math import isqrt
 from typing import Mapping
@@ -43,6 +43,7 @@ from .machine import (
     MachineDescription,
     Rule,
     _equiv,
+    _run_table,
     run,
 )
 
@@ -258,7 +259,7 @@ def index_set_bounded(reference: MachineDescription, max_index: int, max_len: in
     runs once per input for the whole sweep.
     """
     ref_sigma = set(reference.input_alphabet)
-    reference_run = cache(partial(run, reference))
+    reference_run = _run_table(run, reference)
     agree: list[int] = []
     inconclusive: list[int] = []
     differ: list[int] = []

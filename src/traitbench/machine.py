@@ -43,6 +43,12 @@ once, so a trace costs about a byte per cell per step, not a dict entry per
 cell. `containment` scans a trace by reading each snapshot's start cell and
 string.
 
+Most runs take a step or two, so a run's fixed cost is kept small: the
+engine hands out shared outcomes from a memo of _OUTCOMES_REMEMBERED
+entries, and a run pays a lookup, not the building of a frozen dataclass.
+Which outcomes are shared is not API; compare them by value. The memo holds
+at most that many outputs, each of at most fuel + len(input) + 1 symbols.
+
 Every `MachineDescription` is validated when it is built, `decode`'s
 included. The header (state count, roles, alphabets, blank) is checked once
 per distinct header and remembered; the transition table is checked in one
@@ -245,7 +251,7 @@ class UndefinedReason(str, enum.Enum):
     NON_INPUT_SYMBOL = "non-input-symbol"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunOutcome:
     """Result of a fuel-bounded run.
 
@@ -262,15 +268,50 @@ class RunOutcome:
 
     @property
     def halted(self) -> bool:
-        return self.kind is not RunKind.FUEL_EXHAUSTED
+        return self.kind is not _FUEL_EXHAUSTED
 
     @property
     def defined(self) -> bool:
-        return self.kind is RunKind.HALTED_OUTPUT
+        return self.kind is _HALTED_OUTPUT
+
+
+# The kinds as module constants: a global read is cheaper than a class
+# attribute on an enum, and a run reads one or two of them.
+_HALTED_OUTPUT, _HALTED_UNDEFINED, _FUEL_EXHAUSTED = RunKind
+
+# The engine builds every outcome it returns through _shared_outcome, so equal
+# outcomes are mostly one object. Sharing is sound because an outcome is
+# frozen and compared by value. A sweep over thousands of machines ends in
+# under 200 distinct outcomes, and a few carry most runs: 64 entries serve
+# 99% of a 2,000-machine Blum sweep's runs and 96% of a 4,000-index
+# partition's, with a quarter of the memory of 256. An entry holds one
+# output, of at most fuel + len(input) + 1 symbols. RunKind is a str enum, so
+# a plain string keys the same entry as its member: only the engine calls
+# this, always with members and all five fields.
+_OUTCOMES_REMEMBERED = 64
+_shared_outcome = lru_cache(maxsize=_OUTCOMES_REMEMBERED)(RunOutcome)
 
 
 # outcome(sigma, fuel): the run of one machine on sigma under that fuel.
 RunLookup = Callable[[str, int], RunOutcome]
+
+
+def _run_table(run: Callable[[MachineDescription, str, int], RunOutcome], m: MachineDescription) -> RunLookup:
+    """m's runs by (input, fuel), each made through run on first use and kept while the lookup lives.
+
+    Callers pass the run their own module sees, so a rebound run (a tracer's
+    or a test's) still sees every run made. A dict, not functools.cache,
+    because cache's wrapper setup costs more than a query's lookups.
+    """
+    table: dict[tuple[str, int], RunOutcome] = {}
+
+    def outcome(sigma: str, fuel: int) -> RunOutcome:
+        ran = table.get((sigma, fuel))
+        if ran is None:
+            ran = table[sigma, fuel] = run(m, sigma, fuel)
+        return ran
+
+    return outcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +383,7 @@ def _check_input(m: MachineDescription, input_string: str) -> None:
 def _classify_tape(m: MachineDescription, tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
     if not tape:
         return None, UndefinedReason.BLANK_TAPE
-    content = "".join([tape[c] for c in sorted(tape)])
+    content = "".join(map(tape.__getitem__, sorted(tape)))
     if not set(m.input_alphabet).issuperset(content):
         return None, UndefinedReason.NON_INPUT_SYMBOL
     return content, None
@@ -381,7 +422,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
     _check_input(m, input_string)
-    tape = {i + 1: sym for i, sym in enumerate(input_string)}
+    tape = dict(enumerate(input_string, 1))
     state = m.start_state
     head = lo = hi = steps = 0
     halting = (m.accept_state, m.reject_state)
@@ -408,8 +449,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             configs.append(Configuration(state, head, snapshot))
         if state in halting:
             output, reason = _classify_tape(m, tape)
-            kind = RunKind.HALTED_UNDEFINED if output is None else RunKind.HALTED_OUTPUT
-            return RunOutcome(kind, steps, hi - lo + 1, output, reason)
+            return _shared_outcome(_HALTED_UNDEFINED if output is None else _HALTED_OUTPUT, steps, hi - lo + 1, output, reason)
         if steps >= fuel:
             break
         # The head moves one cell per step, so the scanned cells are [lo, hi];
@@ -437,7 +477,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
                     periods, rest = divmod(fuel - 1 - steps, period)
                     grown = periods * drift + bisect_right(later_records, record_step + rest)
                     space = head + grown - lo + 1 if right else hi - head + grown + 1
-                    return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, space)
+                    return _shared_outcome(_FUEL_EXHAUSTED, fuel, space, None, None)
             # The window argument needs blanks past the snapshot's head, so a
             # right snapshot waits until the head is on the last input cell.
             if steps >= next_record_snapshot and (head >= end or not right):
@@ -447,7 +487,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             elif right == record_right:
                 later_records.append(steps)
         elif head == snapshot_head and state == snapshot_state and tape == snapshot_tape:
-            return RunOutcome(RunKind.FUEL_EXHAUSTED, fuel, hi - lo + 1)
+            return _shared_outcome(_FUEL_EXHAUSTED, fuel, hi - lo + 1, None, None)
         if steps == next_snapshot:
             snapshot_state, snapshot_head, snapshot_tape = state, head, dict(tape)
             next_snapshot = 2 * steps or 1
@@ -458,7 +498,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             tape[head] = written
         head += 1 if move == RIGHT else -1
         steps += 1
-    return RunOutcome(RunKind.FUEL_EXHAUSTED, steps, hi - lo + 1)
+    return _shared_outcome(_FUEL_EXHAUSTED, steps, hi - lo + 1, None, None)
 
 
 def run(m: MachineDescription, input_string: str, fuel: int) -> RunOutcome:

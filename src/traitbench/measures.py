@@ -134,6 +134,11 @@ class BlumReport:
         ]
 
 
+# The largest n check_blum_axioms asks graph_decide about on a pair whose
+# cost is undefined; the fuel must exceed it.
+_UNDEFINED_TOP = 2
+
+
 def check_blum_axioms(
     measure: ResourceMeasure,
     machines: Mapping[int, MachineDescription],
@@ -146,9 +151,15 @@ def check_blum_axioms(
     exactly when the run halts with output within the fuel. Axiom 2 compares
     graph_decide against the evaluated value for every n up to that value
     plus two; for pairs where the value is undefined the graph must reject
-    n = 0..2, which is sound as long as fuel comfortably exceeds the checked
-    n (a run with cost at most 2 would have resolved within the fuel).
+    n = 0..2. That is sound only when the fuel exceeds every such n, so that
+    a run of time cost at most 2 resolves within it: a fuel below 3 raises
+    ValueError. Space keeps a caveat at any fuel: a run confined to 2 cells
+    may need up to pigeonhole_step_bound(m, 2) steps to halt, so a pair that
+    exhausts a small fuel can still be reported against axiom 2 although its
+    space cost is at most 2.
     """
+    if fuel <= _UNDEFINED_TOP:
+        raise ValueError(f"the Blum check needs a fuel of at least {_UNDEFINED_TOP + 1}, more than any n it checks on an undefined pair; got {fuel}")
     violations: list[AxiomViolation] = []
     checked = 0
     for index in sorted(machines):
@@ -169,7 +180,7 @@ def check_blum_axioms(
                     )
                 )
                 continue
-            top = value + 2 if value is not None else 2
+            top = value + 2 if value is not None else _UNDEFINED_TOP
             for n in range(top + 1):
                 decided = measure.graph_decide(m, sigma, n)
                 expected = value is not None and n == value

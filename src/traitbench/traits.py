@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
 from typing import Callable, Collection, Iterable, Mapping
 
 from .containment import ContainmentPolicy, ContainmentVerdict, containment_check
@@ -35,6 +34,7 @@ from .machine import (
     RunLookup,
     RunOutcome,
     _natural,
+    _run_table,
     run,
     strings_up_to,
 )
@@ -152,7 +152,7 @@ def eval_trait(expr: TraitExpr, m: MachineDescription, bounds: Bounds) -> Verdic
     intersection once the left is Out: the Kleene result is already fixed.
     The leaves share one run per (input, fuel), made on first use.
     """
-    return _eval(expr, m, bounds, cache(partial(run, m)))
+    return _eval(expr, m, bounds, _run_table(run, m))
 
 
 def _eval(expr: TraitExpr, m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
@@ -374,7 +374,7 @@ def _probe(
     """Evaluate m, then probe it as probe_semanticity does; None when m is not In."""
     if probes < 0:
         raise ValueError("probes must be nonnegative")
-    outcome = cache(partial(run, m))
+    outcome = _run_table(run, m)
     if _eval(trait, m, bounds, outcome) is not Verdict.IN:
         return None
     usable = [kind for kind in kinds if kind != "leak" or m.input_alphabet]

@@ -28,6 +28,11 @@ class TestExitCodes:
         assert main(["run", "--machine", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_blum_check_refuses_a_fuel_below_three(self, capsys):
+        assert main(["blum-check", "--max-index", "5", "--fuel", "2"]) == 1
+        assert "fuel of at least 3" in capsys.readouterr().err
+        assert main(["blum-check", "--max-index", "5", "--fuel", "3"]) == 0
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["equiv", "--machine", "x"])  # --other is required

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench.enumeration import decode, is_canonical
-from traitbench.machine import MachineDescription, MachineError, RunKind, run, strings_up_to, trace
+from traitbench.machine import MachineDescription, MachineError, RunKind, RunOutcome, run, strings_up_to, trace
 from traitbench.measures import space_measure
 from traitbench.transforms import canonicalize
 from util import (
@@ -52,6 +52,7 @@ def test_engine_agrees_with_the_reference_stepper(m, data, fuel):
     configs, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
 
     outcome = run(m, sigma, fuel)
+    assert type(outcome) is RunOutcome
     assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
         kind, steps, space, output, reason
     )

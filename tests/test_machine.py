@@ -17,6 +17,7 @@ from traitbench.machine import (
     MachineError,
     ParseError,
     RunKind,
+    RunOutcome,
     UndefinedReason,
     equiv_bounded,
     format_machine,
@@ -26,7 +27,7 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from traitbench.transforms import leaky_wrap
+from traitbench.transforms import leaky_wrap, pad
 from util import canonical_machines, machine_from_rules, reference_configs, reference_run, reference_validate, unvalidated_machine
 
 
@@ -122,6 +123,38 @@ class TestRun:
         outcome = run(m, m.input_alphabet[0], fuel)
         assert 1 <= outcome.space <= outcome.steps + 1
         assert outcome.steps <= fuel
+
+
+class TestSharedOutcomes:
+    def test_equal_outcomes_of_different_machines_are_one_object(self, echo, looper):
+        assert pad(echo, 2) != echo and pad(looper, 1) != looper
+        assert run(echo, "ab", 100) is run(pad(echo, 2), "ab", 100)
+        assert run(echo, "", 100) is run(pad(echo, 2), "", 100)
+        assert run(looper, "a", 50) is run(pad(looper, 1), "a", 50)
+
+    @pytest.mark.parametrize(
+        "rules, sigma, fuel, kind",
+        [
+            pytest.param(("0 _ -> 1 _ R", "1 a -> 3 a R"), "a", 10, RunKind.HALTED_OUTPUT, id="halted-output"),
+            pytest.param(("0 _ -> 1 _ R", "1 a -> 3 _ R"), "a", 10, RunKind.HALTED_UNDEFINED, id="halted-undefined"),
+            pytest.param(("0 _ -> 1 _ R", "1 a -> 0 a L"), "a", 0, RunKind.FUEL_EXHAUSTED, id="fuel-zero"),
+            pytest.param(("0 _ -> 1 _ R", "1 a -> 0 a L"), "a", 10**9, RunKind.FUEL_EXHAUSTED, id="exact-repeat"),
+            pytest.param(("0 _ -> 0 _ R", "0 a -> 0 a R"), "a", 10**9, RunKind.FUEL_EXHAUSTED, id="runaway"),
+        ],
+    )
+    def test_every_exit_returns_enum_members(self, rules, sigma, fuel, kind):
+        outcome = run(machine_from_rules(*rules), sigma, fuel)
+        assert type(outcome) is RunOutcome
+        assert type(outcome.kind) is RunKind and outcome.kind is kind
+        assert outcome.reason is None or type(outcome.reason) is UndefinedReason
+
+    def test_the_outcome_memo_stays_within_its_size(self, looper):
+        size = machine._OUTCOMES_REMEMBERED
+        # The looper runs to each fuel, a distinct outcome per fuel.
+        outcomes = {run(looper, "a", fuel) for fuel in range(2 * size)}
+        assert len(outcomes) == 2 * size
+        info = machine._shared_outcome.cache_info()
+        assert info.maxsize == size and info.currsize <= size
 
 
 class TestCertifiedDivergence:

@@ -126,6 +126,13 @@ class TestBlumCheck:
             assert report.violations == ()
             assert report.pairs_checked == 12
 
+    @pytest.mark.parametrize("fuel", [0, 1, 2])
+    def test_a_fuel_below_three_is_refused(self, echo, fuel):
+        # At fuel 0 to 2, runs of cost up to 2 exhaust their fuel, and the
+        # fuel-free graph would report them as axiom-2 violations.
+        with pytest.raises(ValueError, match="fuel of at least 3"):
+            check_blum_axioms(time_measure(), {0: echo}, lambda m: ["a"], fuel)
+
     def test_broken_counter_fails_axiom_one(self, looper):
         report = check_blum_axioms(
             broken_step_counter(),
