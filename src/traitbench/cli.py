@@ -275,6 +275,11 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _cost(text: str) -> int:
+    """argparse type of --graph: a count, with an optional leading '-'; no run has a negative cost."""
+    return -_count(text[1:]) if text.startswith("-") else _count(text)
+
+
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write a report file instead of printing rows")
     p.add_argument("--format", choices=("csv", "jsonl"), help="report file format (default csv)")
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help=f"the input, without --xi and --discriminate {_default('measure', 'input')}")
     p.add_argument("--fuel", type=_count, help=f"steps per run, without --graph {_default('measure', 'fuel')}")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--graph", type=int, help="decide whether the cost on --input is exactly this")
+    mode.add_argument("--graph", type=_cost, help="decide whether the cost on --input is exactly this")
     mode.add_argument("--xi", help="bound expression; check all inputs up to --max-len against it")
     mode.add_argument("--discriminate", action="store_true", help="search for a costlier function-equal machine")
     p.add_argument("--trials", type=_count, help=f"delays tried, with --discriminate {_default('measure', 'trials')}")

@@ -44,7 +44,6 @@ from .machine import (
     Rule,
     _equiv,
     _run_table,
-    run,
 )
 
 SIGMA_UNIVERSE = "abcdefghij"
@@ -259,7 +258,7 @@ def index_set_bounded(reference: MachineDescription, max_index: int, max_len: in
     runs once per input for the whole sweep.
     """
     ref_sigma = set(reference.input_alphabet)
-    reference_run = _run_table(run, reference)
+    reference_run = _run_table(reference)
     agree: list[int] = []
     inconclusive: list[int] = []
     differ: list[int] = []

@@ -28,11 +28,11 @@ one in the same direction and state, shifted by d cells after c steps, and
 the cells the head can have read in between, a window of (c - d) // 2
 cells behind the earlier record, match their shifted copies). A runaway, a
 head past everything written whose blank-reading rules only carry it
-further out, is the translated cycler with an empty window. A certified run
-is fast-forwarded: it returns the same fuel-exhausted outcome, steps and
-space included, that stepping to the fuel would, without taking the
-remaining steps; `_simulate` gives the space formulas. The space graph runs
-with the certificates on; `trace` still steps through every configuration.
+further out, is the translated cycler with an empty window. A certificate
+jumps to the one exit of every run that does not halt, with the steps at the
+fuel and the cells scanned those stepping would scan (`_simulate` gives the
+formulas). The space graph runs with the certificates on; `trace` still
+steps through every configuration.
 
 A trace holds each configuration's tape as a compact immutable snapshot:
 one string that is exactly the tape content, leftmost to rightmost
@@ -119,6 +119,8 @@ class MachineDescription:
     transitions: tuple[Rule, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "input_alphabet", tuple(self.input_alphabet))
+        object.__setattr__(self, "tape_alphabet", tuple(self.tape_alphabet))
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
         _validate(self)
 
@@ -189,8 +191,7 @@ def _validate(m: MachineDescription) -> None:
     name its first fault.
     """
     try:
-        # Alphabets given as lists are keyed as tuples.
-        tape_set = _checked_header(m.state_count, m.start_state, m.accept_state, m.reject_state, tuple(m.input_alphabet), tuple(m.tape_alphabet), m.blank)
+        tape_set = _checked_header(m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
     except TypeError:
         # A header that cannot be a memo key is checked as given, uncached.
         tape_set = _checked_header.__wrapped__(m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
@@ -296,11 +297,11 @@ _shared_outcome = lru_cache(maxsize=_OUTCOMES_REMEMBERED)(RunOutcome)
 RunLookup = Callable[[str, int], RunOutcome]
 
 
-def _run_table(run: Callable[[MachineDescription, str, int], RunOutcome], m: MachineDescription) -> RunLookup:
+def _run_table(m: MachineDescription) -> RunLookup:
     """m's runs by (input, fuel), each made through run on first use and kept while the lookup lives.
 
-    Callers pass the run their own module sees, so a rebound run (a tracer's
-    or a test's) still sees every run made. A dict, not functools.cache,
+    run is read from this module when a run is made, so a rebound run (a
+    tracer's or a test's) sees every run made. A dict, not functools.cache,
     because cache's wrapper setup costs more than a query's lookups.
     """
     table: dict[tuple[str, int], RunOutcome] = {}
@@ -397,11 +398,12 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     record break that makes hi - lo reach it: the head has then scanned more
     than space_limit cells.
 
-    Unless configs is given, two divergence certificates end a run early
-    with the outcome that stepping to the fuel would give: fuel exhausted,
-    steps equal to the fuel, and the space the remaining steps would scan.
-    - Exact repeat: the configuration equals a snapshot retaken at steps 0,
-      1, 2, 4, ... (Brent); the tape is compared only when state and head
+    A run that does not halt leaves by one exit, fuel exhausted with steps
+    and [lo, hi] as they stand. Unless configs is given, two divergence
+    certificates jump there early, with steps set to the fuel and [lo, hi]
+    to the cells that stepping to the fuel would scan.
+    - Exact repeat: the configuration equals a snapshot retaken at steps 1,
+      2, 4, 8, ... (Brent); the tape is compared only when state and head
       match. The run then cycles inside the cells already scanned.
     - Translated cycler: a record break at step t2 and head h2 has the state
       and direction of a record snapshot (step t1, head h1), retaken at the
@@ -415,7 +417,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
       by d, and so on forever. The snapshot keeps the steps of later records
       in its direction, so with k, r = divmod(fuel - 1 - t2, c) the outermost
       cell scanned is h2 + k*d + (records in (t1, t1 + r]) to the right and
-      h2 - that to the left; the other end of [lo, hi] no longer moves. A
+      h2 - that to the left; [lo, hi] grows to it at that end only. A
       runaway, whose blank-reading rules only carry the head further out, is
       the case c = d with an empty window of blank cells.
     """
@@ -429,11 +431,10 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     rules = m.rule_map
     blank = m.blank
     end = len(input_string)
-    # A trace must hold every configuration, so it turns the certificates off:
-    # no repeat snapshot at step -1, no record snapshot before the fuel, which
-    # a stepping run never reaches.
-    next_snapshot = 0 if configs is None else -1
-    next_record_snapshot = 0 if configs is None else fuel
+    # Both certificate schedules start at step 1. A trace must hold every
+    # configuration, so it starts them at the fuel, which a stepping run never
+    # reaches, and so turns the certificates off.
+    next_snapshot = next_record_snapshot = 1 if configs is None else fuel
     snapshot_state = snapshot_head = snapshot_tape = None
     # The translated-cycler snapshot: state, step, head, tape and direction of
     # a record break, and the steps of later records in that direction.
@@ -443,9 +444,6 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
         snapshot = _Snapshot(1, input_string, blank)
     while True:
         if configs is not None:
-            if steps:
-                # The previous step wrote the cell the head has just left.
-                snapshot = snapshot.write(head - 1 if move == RIGHT else head + 1, written)
             configs.append(Configuration(state, head, snapshot))
         if state in halting:
             output, reason = _classify_tape(m, tape)
@@ -476,8 +474,12 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
                 if all(map(eq, map(record_tape.get, cells), map(tape.get, range(cells.start + shift, cells.stop + shift, cells.step)))):
                     periods, rest = divmod(fuel - 1 - steps, period)
                     grown = periods * drift + bisect_right(later_records, record_step + rest)
-                    space = head + grown - lo + 1 if right else hi - head + grown + 1
-                    return _shared_outcome(_FUEL_EXHAUSTED, fuel, space, None, None)
+                    if right:
+                        hi += grown
+                    else:
+                        lo -= grown
+                    steps = fuel
+                    break
             # The window argument needs blanks past the snapshot's head, so a
             # right snapshot waits until the head is on the last input cell.
             if steps >= next_record_snapshot and (head >= end or not right):
@@ -487,15 +489,18 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             elif right == record_right:
                 later_records.append(steps)
         elif head == snapshot_head and state == snapshot_state and tape == snapshot_tape:
-            return _shared_outcome(_FUEL_EXHAUSTED, fuel, hi - lo + 1, None, None)
+            steps = fuel
+            break
         if steps == next_snapshot:
             snapshot_state, snapshot_head, snapshot_tape = state, head, dict(tape)
-            next_snapshot = 2 * steps or 1
+            next_snapshot = 2 * steps
         state, written, move = rules[(state, tape.get(head, blank))]
         if written == blank:
             tape.pop(head, None)
         else:
             tape[head] = written
+        if configs is not None:
+            snapshot = snapshot.write(head, written)
         head += 1 if move == RIGHT else -1
         steps += 1
     return _shared_outcome(_FUEL_EXHAUSTED, steps, hi - lo + 1, None, None)

@@ -57,28 +57,21 @@ class Verdict(str, Enum):
     UNKNOWN = "Unknown"
 
 
+# Kleene's strong logic: or is the larger verdict in the order Out < Unknown
+# < In, and is the smaller, and not is the mirror image.
+_ORDER = (Verdict.OUT, Verdict.UNKNOWN, Verdict.IN)
+
+
 def kleene_or(a: Verdict, b: Verdict) -> Verdict:
-    if Verdict.IN in (a, b):
-        return Verdict.IN
-    if a is Verdict.OUT and b is Verdict.OUT:
-        return Verdict.OUT
-    return Verdict.UNKNOWN
+    return max(a, b, key=_ORDER.index)
 
 
 def kleene_and(a: Verdict, b: Verdict) -> Verdict:
-    if Verdict.OUT in (a, b):
-        return Verdict.OUT
-    if a is Verdict.IN and b is Verdict.IN:
-        return Verdict.IN
-    return Verdict.UNKNOWN
+    return min(a, b, key=_ORDER.index)
 
 
 def kleene_not(a: Verdict) -> Verdict:
-    if a is Verdict.IN:
-        return Verdict.OUT
-    if a is Verdict.OUT:
-        return Verdict.IN
-    return Verdict.UNKNOWN
+    return _ORDER[-1 - _ORDER.index(a)]
 
 
 class DeclaredKind(str, Enum):
@@ -152,7 +145,7 @@ def eval_trait(expr: TraitExpr, m: MachineDescription, bounds: Bounds) -> Verdic
     intersection once the left is Out: the Kleene result is already fixed.
     The leaves share one run per (input, fuel), made on first use.
     """
-    return _eval(expr, m, bounds, _run_table(run, m))
+    return _eval(expr, m, bounds, _run_table(m))
 
 
 def _eval(expr: TraitExpr, m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
@@ -374,7 +367,7 @@ def _probe(
     """Evaluate m, then probe it as probe_semanticity does; None when m is not In."""
     if probes < 0:
         raise ValueError("probes must be nonnegative")
-    outcome = _run_table(run, m)
+    outcome = _run_table(m)
     if _eval(trait, m, bounds, outcome) is not Verdict.IN:
         return None
     usable = [kind for kind in kinds if kind != "leak" or m.input_alphabet]

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from traitbench import MachineDescription, fixtures, format_machine
+from traitbench import MachineDescription, fixtures, format_machine, machine
 
 
 @pytest.fixture
@@ -53,3 +53,25 @@ def machine_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every engine run made while the test runs, as (machine, input, fuel), in order.
+
+    `machine.run` is rebound at every attribute of a traitbench module that
+    holds it, so runs one module asks another for are seen too. The test's
+    own calls, through the `run` it imported, are not recorded.
+    """
+    real_run, made = machine.run, []
+
+    def counted(m, sigma, fuel):
+        made.append((m, sigma, fuel))
+        return real_run(m, sigma, fuel)
+
+    for name, module in list(sys.modules.items()):
+        if name == "traitbench" or name.startswith("traitbench."):
+            for attr, value in list(vars(module).items()):
+                if value is real_run:
+                    monkeypatch.setattr(module, attr, counted)
+    return made

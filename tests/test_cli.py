@@ -310,6 +310,13 @@ class TestMeasure:
         assert main(args) == 0
         assert capsys.readouterr().out.strip() == "False"
 
+    @pytest.mark.parametrize("cost", ["1_0", "+1", "\u0663", "-1_0", "-+1", "-"])
+    def test_graph_mode_reads_its_cost_as_the_count_flags_do(self, machine_file, echo, cost, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--machine", machine_file(echo), "--input", "ab", f"--graph={cost}"])
+        assert exc.value.code == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("measure", ["time", "space"])
     def test_graph_mode_rejects_an_input_outside_the_alphabet(self, machine_file, echo, measure, capsys):
         args = ["measure", "--measure", measure, "--machine", machine_file(echo), "--input", "zz", "--graph", "1"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench import machine
+from traitbench.enumeration import decode, encode
 from traitbench.fixtures import all_fixtures, echo as echo_machine
 from traitbench.machine import (
     Configuration,
@@ -571,6 +572,15 @@ class TestValidation:
                     (1, "a", 1, "a", "R"),
                 ),
             )
+
+    def test_list_alphabets_build_their_tuple_twin(self):
+        m = decode(16)
+        fields = {f: getattr(m, f) for f in SMALL_MACHINE_FIELDS}
+        twin = MachineDescription(**{**fields, "input_alphabet": list(m.input_alphabet), "tape_alphabet": list(m.tape_alphabet)})
+        assert twin == m and hash(twin) == hash(m)
+        assert twin.input_alphabet == m.input_alphabet and twin.tape_alphabet == m.tape_alphabet
+        assert encode(twin) == 16
+        assert parse_machine(format_machine(twin)) == twin
 
 
 def outcome(check):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench import measures
+from traitbench.enumeration import decode
 from traitbench.machine import MachineError, run, strings_up_to
 from traitbench.measures import (
     MEASURES,
@@ -75,8 +75,6 @@ class TestSpaceMeasure:
         assert not any(space.graph_decide(looper, "a", n) for n in range(4))
 
     def test_graph_detects_tight_cycles(self):
-        from traitbench.enumeration import decode
-
         # decode(0) crawls left forever over blanks: an infinite run whose
         # scanned-cell count still grows, stopped by the engine's space limit.
         space = space_measure()
@@ -149,14 +147,7 @@ class TestBlumCheck:
         cost = time.evaluate(run(echo, "a", 50))
         assert report.rows() == [{"machine_index": 0, "input": "a", "measure": "never", "value": cost, "verdict": "axiom2"}]
 
-    def test_each_pair_runs_once_at_the_sweep_fuel(self, echo, looper, eraser, monkeypatch):
-        runs = []
-
-        def counted(m, sigma, fuel):
-            runs.append((m, sigma, fuel))
-            return run(m, sigma, fuel)
-
-        monkeypatch.setattr(measures, "run", counted)
+    def test_each_pair_runs_once_at_the_sweep_fuel(self, echo, looper, eraser, runs):
         machines = {0: echo, 1: looper, 2: eraser}
         for measure in (time_measure(), space_measure(), broken_step_counter()):
             runs.clear()
@@ -245,18 +236,11 @@ class TestUsageWithinBound:
         assert verdict.kind is BoundCheckKind.VIOLATES
         assert verdict.witness == "a"
 
-    def test_each_input_runs_once(self, echo, eraser, looper, monkeypatch):
-        runs = []
-
-        def counted(m, sigma, fuel):
-            runs.append(sigma)
-            return run(m, sigma, fuel)
-
-        monkeypatch.setattr(measures, "run", counted)
+    def test_each_input_runs_once(self, echo, eraser, looper, runs):
         for m in (echo, eraser, looper):
             runs.clear()
             verdict = usage_within_bound(m, time_measure(), parse_bound("n+5"), 2, 50)
-            assert runs == [sigma for sigma, _ in verdict.evidence] == list(strings_up_to(m.input_alphabet, 2))
+            assert [sigma for _, sigma, _ in runs] == [sigma for sigma, _ in verdict.evidence] == list(strings_up_to(m.input_alphabet, 2))
 
     def test_evidence_lists_every_tested_input(self, echo):
         verdict = usage_within_bound(echo, time_measure(), parse_bound("n+5"), 1, 100)
@@ -271,6 +255,11 @@ class TestDiscriminatingWitness:
             assert witness.delay == 2
             for sigma, base, raised in witness.evidence:
                 assert raised > base
+
+    def test_a_delay_that_raises_no_cost_is_skipped(self):
+        # Delaying index 2272 by 2 leaves its space on the empty input at 3.
+        witness = discriminating_witness(space_measure(), decode(2272), 3, 1, 200)
+        assert witness.delay == 4
 
     def test_witness_rows_pair_base_and_raised_costs(self, echo):
         witness = discriminating_witness(time_measure(), echo, 3, 1, 200)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitbench import measures, traits
+from traitbench import traits
 from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
 from traitbench.machine import EquivKind, equiv_bounded, run
@@ -184,15 +184,7 @@ class TestExpressions:
     def test_short_circuit_agrees_with_full_kleene_evaluation(self, expr, m):
         assert eval_trait(expr, m, Bounds(1, 20)) is full_kleene(expr, m, Bounds(1, 20))
 
-    def test_leaves_share_one_run_per_input_and_fuel(self, echo, monkeypatch):
-        runs = []
-
-        def counted(m, sigma, fuel):
-            runs.append((sigma, fuel))
-            return run(m, sigma, fuel)
-
-        monkeypatch.setattr(traits, "run", counted)
-        monkeypatch.setattr(measures, "run", counted)
+    def test_leaves_share_one_run_per_input_and_fuel(self, echo, runs):
         expr = parse_trait("and(time-within:n+5,total-nonempty)")
         assert eval_trait(expr, echo, Bounds(2, 100)) is IN
         assert len(runs) == len(set(runs)) == 7
@@ -221,7 +213,7 @@ class TestParseTrait:
         assert eval_trait(expr, echo, BOUNDS) is IN
 
     def test_parse_then_name_round_trips(self):
-        for text in ("states:3", "not(states:4)", "and(states:3,or(states:4,echoes))"):
+        for text in ("states:3", "not(states:4)", "and(states:3,or(states:4,echoes))", "and(or(states:3,echoes),states:4)"):
             assert expr_name(parse_trait(text)) == text
 
     @pytest.mark.parametrize(
@@ -289,6 +281,10 @@ class TestParseTrait:
             with pytest.raises(ValueError, match="table bound needs ';default=<value>'"):
                 parse_trait(text)
 
+    def test_a_combinator_of_one_expression_says_so(self):
+        with pytest.raises(ValueError, match="^expected two comma-separated trait expressions in 'states:3'$"):
+            parse_trait("and(states:3)")
+
     def test_garbage_rejected(self):
         for text in ("", "states", "states:x", "nand(states:3,states:4)", "and(states:3", "frobnicate"):
             with pytest.raises(ValueError):
@@ -326,15 +322,7 @@ class TestProbeSemanticity:
         with pytest.raises(ValueError, match="probes must be nonnegative"):
             probe_semanticity(state_count_trait(3), echo, -1, BOUNDS)
 
-    def test_pad_variants_read_the_members_runs(self, echo, monkeypatch):
-        runs = []
-
-        def counted(m, sigma, fuel):
-            runs.append((m, sigma, fuel))
-            return run(m, sigma, fuel)
-
-        monkeypatch.setattr(traits, "run", counted)
-        monkeypatch.setattr(measures, "run", counted)
+    def test_pad_variants_read_the_members_runs(self, echo, runs):
         result = probe_semanticity(total_on_nonempty_trait(), echo, 1, BOUNDS, kinds=("pad",))
         assert result.all_in and result.variants_checked == 1
         # Six nonempty inputs up to length 2, each run once, on the member only.
@@ -362,6 +350,9 @@ class TestPartition:
         originals = [decode(n) for n in range(140, 150)]
         assert [seen.count(m) for m in originals] == [1] * 10
         assert len(seen) == 10 + 4 * 3
+        rows = partition.rows()
+        assert [(r["index"], r["verdict"], r["part"]) for r in rows] == [(n, "In", "unknown") for n in range(140, 144)] + [(n, "not-In", "") for n in range(144, 150)]
+        assert all(r["witness_kind"] == r["witness_parameter"] == "" for r in rows)
 
     def test_rows_carry_each_syn_witness_parameter(self):
         trait = usage_bounded_trait(time_measure(), parse_bound("n+5"))
