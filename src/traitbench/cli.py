@@ -125,7 +125,7 @@ def cmd_enumerate(args) -> int:
     for n in indices:
         decode(n)
     if args.out:
-        _write(args, [{"index": n, "verdict": "valid"} for n in indices], ["index", "verdict"])
+        _write(args, ({"index": n, "verdict": "valid"} for n in indices), ["index", "verdict"])
     print(f"{len(indices)} machines valid")
     return 0
 

@@ -31,8 +31,10 @@ head past everything written whose blank-reading rules only carry it
 further out, is the translated cycler with an empty window. A certificate
 jumps to the one exit of every run that does not halt, with the steps at the
 fuel and the cells scanned those stepping would scan (`_simulate` gives the
-formulas). The space graph runs with the certificates on; `trace` still
-steps through every configuration.
+formulas). Under a `space_limit` only the exact repeat runs: a translated
+cycler's jump would carry the scanned cells past the limit, where a stepping
+run stops, and a drifting run reaches the limit within the space graph's
+fuel anyway. `trace` still steps through every configuration.
 
 A trace holds each configuration's tape as a compact immutable snapshot:
 one string that is exactly the tape content, leftmost to rightmost
@@ -62,7 +64,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
@@ -95,6 +97,26 @@ class ParseError(MachineError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class _RuleMap:
+    """m.rule_map: the table as {(state, read symbol): (next state, written symbol, move)}, built on first read.
+
+    A non-data descriptor: it stores the map as an instance attribute, which
+    then shadows it. It stores through object.__setattr__, not through the
+    instance __dict__ as functools.cached_property does: on CPython 3.11
+    reading __dict__ turns an object's inline attribute values into a real
+    dict, and every later field read of that machine is then slower. The map
+    is not built at construction, because most machines of an index sweep
+    never run.
+    """
+
+    def __get__(self, m: MachineDescription | None, owner: type | None = None):
+        if m is None:
+            return self
+        rules = {(q, s): (q2, w, mv) for q, s, q2, w, mv in m.transitions}
+        object.__setattr__(m, "rule_map", rules)
+        return rules
+
+
 @dataclass(frozen=True)
 class MachineDescription:
     """A complete machine: states, alphabets, and a total transition table.
@@ -124,9 +146,7 @@ class MachineDescription:
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
         _validate(self)
 
-    @cached_property
-    def rule_map(self) -> dict[tuple[int, str], tuple[int, str, str]]:
-        return {(q, s): (q2, w, mv) for q, s, q2, w, mv in self.transitions}
+    rule_map = _RuleMap()
 
     @property
     def halting_states(self) -> frozenset[int]:
@@ -401,7 +421,9 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     A run that does not halt leaves by one exit, fuel exhausted with steps
     and [lo, hi] as they stand. Unless configs is given, two divergence
     certificates jump there early, with steps set to the fuel and [lo, hi]
-    to the cells that stepping to the fuel would scan.
+    to the cells that stepping to the fuel would scan; under a finite
+    space_limit only the exact repeat does, so a limited run still stops at
+    the limit as stepping does.
     - Exact repeat: the configuration equals a snapshot retaken at steps 1,
       2, 4, 8, ... (Brent); the tape is compared only when state and head
       match. The run then cycles inside the cells already scanned.
@@ -433,8 +455,11 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     end = len(input_string)
     # Both certificate schedules start at step 1. A trace must hold every
     # configuration, so it starts them at the fuel, which a stepping run never
-    # reaches, and so turns the certificates off.
-    next_snapshot = next_record_snapshot = 1 if configs is None else fuel
+    # reaches, and so turns the certificates off. A space limit turns the
+    # translated cycler off: it jumps [lo, hi] to the fuel's, past a limit
+    # that stepping stops at, and a drifting run reaches the limit anyway.
+    next_snapshot = 1 if configs is None else fuel
+    next_record_snapshot = 1 if configs is None and space_limit == math.inf else fuel
     snapshot_state = snapshot_head = snapshot_tape = None
     # The translated-cycler snapshot: state, step, head, tape and direction of
     # a record break, and the steps of later records in that direction.

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench.enumeration import decode, is_canonical
-from traitbench.machine import MachineDescription, MachineError, RunKind, RunOutcome, run, strings_up_to, trace
+from traitbench.machine import MachineDescription, MachineError, RunKind, RunOutcome, _simulate, run, strings_up_to, trace
 from traitbench.measures import space_measure
 from traitbench.transforms import canonicalize
 from util import (
@@ -93,6 +93,21 @@ def test_decoded_machines_agree_with_the_reference_stepper():
                 ), (index, sigma, fuel)
             for n in range(13):
                 assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), (index, sigma, n)
+
+
+def test_space_limited_runs_stop_where_stepping_stops():
+    # The certificates-off run (a configs list) steps every configuration. At
+    # fuel 500, index 12's translated cycler used to jump past a limit that
+    # stepping stops at.
+    rng = random.Random(1)
+    width = 10**7 // 300
+    for index in [12, *(k * width + rng.randrange(width) for k in range(300))]:
+        m = decode(index)
+        for sigma in strings_up_to(m.input_alphabet, 2):
+            for fuel in (100, 500):
+                for limit in range(7):
+                    stepped = _simulate(m, sigma, fuel, [], space_limit=limit)
+                    assert _simulate(m, sigma, fuel, space_limit=limit) == stepped, (index, sigma, fuel, limit)
 
 
 RULE_FAULTS = ("drop", "duplicate", "from-halting", "source-out", "target-out", "read-outside", "write-outside", "bad-move")

@@ -125,6 +125,22 @@ class TestRun:
         assert 1 <= outcome.space <= outcome.steps + 1
         assert outcome.steps <= fuel
 
+    def test_a_machine_keeps_its_field_storage_after_its_first_run(self):
+        # The rule map is built once and kept, and storing it leaves the
+        # machine's attributes stored as before it ran. gc sees an object's
+        # attribute values where CPython keeps them inline (3.11 on) and its
+        # __dict__ otherwise, so the two machines show the same referents
+        # either way, unless the first run turned the inline values into a
+        # real dict.
+        ran, fresh = decode(1234), decode(1234)
+        run(ran, "a", 5)
+        rules = ran.rule_map
+        assert rules is ran.rule_map
+        assert rules == {(q, s): (q2, w, mv) for q, s, q2, w, mv in ran.transitions}
+        assert ran == fresh and hash(ran) == hash(fresh)
+        stored = [type(r) for r in gc.get_referents(ran) if r is not rules]
+        assert stored == [type(r) for r in gc.get_referents(fresh)]
+
 
 class TestSharedOutcomes:
     def test_equal_outcomes_of_different_machines_are_one_object(self, echo, looper):

@@ -1,12 +1,17 @@
-"""Shared helpers for the test suite: seeded machine generators, a reference stepper and the reference normal form."""
+"""Shared helpers for the test suite: seeded machine generators, a reference stepper, the reference normal form and a reference report renderer."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import json
 import random
+from typing import Mapping, Sequence
 
 from hypothesis import strategies as st
 
+from traitbench import __version__
 from traitbench.containment import (
     ContainmentReport,
     ContainmentVerdict,
@@ -28,6 +33,7 @@ from traitbench.machine import (
     render_tape,
     trace,
 )
+from traitbench.reporting import FORMATS
 from traitbench.traits import DeclaredKind, ProbeResult, SemSynPartition, TraitDef, Verdict, eval_trait, expr_name
 from traitbench.transforms import delay_inject, leaky_wrap, pad
 
@@ -366,3 +372,27 @@ def reference_canonicalize(m: MachineDescription) -> MachineDescription:
         blank=BLANK,
         transitions=rules,
     )
+
+
+def reference_render_report(
+    rows: Sequence[Mapping[str, object]],
+    columns: Sequence[str],
+    fmt: str,
+    config: Mapping[str, object],
+) -> str:
+    """The report renderer as it was before chunking: every row rendered into one buffer."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
+    meta = {"tool": "traitbench", "version": __version__, "config": dict(sorted(config.items()))}
+    if fmt == "csv":
+        buffer = io.StringIO()
+        buffer.write(f"# {json.dumps(meta, sort_keys=True)}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row.get(col, "") for col in columns])
+        return buffer.getvalue()
+    lines = [json.dumps(meta, sort_keys=True)]
+    for row in rows:
+        lines.append(json.dumps({col: row.get(col, "") for col in columns}, sort_keys=True))
+    return "\n".join(lines) + "\n"
