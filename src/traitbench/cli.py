@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, machine
 from .containment import containment_check, load_policy
 from .enumeration import decode, encode, index_set_bounded, pair, unpair
 from .machine import (
@@ -123,7 +123,9 @@ def cmd_enumerate(args) -> int:
         return 0
     indices = range(args.max)
     for n in indices:
-        decode(n)
+        # decode does not validate what it assembles. _validate is read from
+        # its module here, as _run_table reads run, so a rebound one is seen.
+        machine._validate(decode(n))
     if args.out:
         _write(args, ({"index": n, "verdict": "valid"} for n in indices), ["index", "verdict"])
     print(f"{len(indices)} machines valid")

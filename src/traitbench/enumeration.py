@@ -23,7 +23,15 @@ is the (next state, written symbol, move) a digit packs, and `keys[i]` the
 them. decode peels one digit per key with divmod and looks its action up;
 encode places each rule's digit by table lookup and folds the digits with
 Horner's rule. A shape's header alone is the normal form: decode and
-canonicalize build from it and is_canonical compares with it.
+canonicalize build from it, and is_canonical and encode compare with it.
+
+decode assembles its machine without the public constructor, which would
+only re-check what the shape guarantees: the header is the shape's, every
+key gets one rule, and every action is one of the shape's. It sets the
+fields in the constructor's order and puts the rules in sorted order
+through a permutation each shape computes once, so its machines equal, and
+hash as, those the constructor builds. `enumerate --validate` validates
+each decoded machine itself.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import isqrt
+from operator import itemgetter
 from typing import Mapping
 
 from .machine import (
@@ -94,7 +103,10 @@ class _Shape:
         return (self.states, 0, self.states - 2, self.states - 1, self.sigma, self.gamma, BLANK)
 
     def machine(self, rules: tuple[Rule, ...]) -> MachineDescription:
-        """The machine of this shape with these rules, built through the public constructor."""
+        """The machine of this shape with these rules in any order, built and validated by the public constructor.
+
+        canonicalize builds through it; decode assembles its own machines.
+        """
         return MachineDescription(*self.header, rules)
 
     @cached_property
@@ -127,6 +139,17 @@ class _Shape:
     def position(self) -> dict[tuple[int, str], int]:
         return {key: i for i, key in enumerate(self.keys)}
 
+    @cached_property
+    def in_sorted_order(self) -> itemgetter:
+        """Takes rules in key order to the tuple of them in sorted order.
+
+        keys are in symbol order, and sorted order puts the uppercase extras
+        before the blank and the blank before the lowercase letters. A shape
+        the walk holds has at least two keys (a working state reading a
+        letter or the blank), so the getter returns a tuple.
+        """
+        return itemgetter(*sorted(range(self.digit_count), key=self.keys.__getitem__))
+
 
 # Valid shapes in code order with their first global index, grown on demand,
 # and the same pairs keyed by (states, sigma size, extra count).
@@ -154,15 +177,19 @@ def _extend_walk() -> None:
         return
 
 
-def _shape_of(m: MachineDescription) -> _Shape:
-    """The shape m's sizes name, the walked one when the walk has reached it.
+def _shape_of(m: MachineDescription) -> tuple[_Shape, int | None]:
+    """The shape m's sizes name and its first index: the walked pair once the walk has reached it, else the shape and None.
 
     Raises the shape's ValueError when an alphabet of m outgrows its universe.
     """
     k = len(m.input_alphabet)
     dims = (m.state_count, k, len(m.tape_alphabet) - k - 1)
     walked = _by_dims.get(dims)
-    return walked[0] if walked is not None else _Shape(*dims)
+    return walked if walked is not None else (_Shape(*dims), None)
+
+
+def _header(m: MachineDescription) -> tuple:
+    return (m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
 
 
 def _locate_index(n: int) -> tuple[_Shape, int]:
@@ -175,8 +202,9 @@ def _locate_index(n: int) -> tuple[_Shape, int]:
 def decode(n: int) -> MachineDescription:
     """The canonical machine with index n; defined for every natural.
 
-    The machine is built through the public constructor, so it is validated
-    like any other.
+    The machine equals the one the public constructor builds from the same
+    fields, but is not validated again: its shape guarantees what the
+    validator checks (see the module docstring).
     """
     if n < 0:
         raise ValueError("machine indices are nonnegative")
@@ -186,7 +214,19 @@ def decode(n: int) -> MachineDescription:
     for key in shape.keys:
         table, digit = divmod(table, radix)
         rules.append(key + actions[digit])
-    return shape.machine(tuple(rules))
+    # The fields in the constructor's order, so that vars(m), and a pickle or
+    # copy made from it, match a constructed machine's.
+    m, put = object.__new__(MachineDescription), object.__setattr__
+    state_count, start, accept, reject, sigma, gamma, blank = shape.header
+    put(m, "state_count", state_count)
+    put(m, "start_state", start)
+    put(m, "accept_state", accept)
+    put(m, "reject_state", reject)
+    put(m, "input_alphabet", sigma)
+    put(m, "tape_alphabet", gamma)
+    put(m, "blank", blank)
+    put(m, "transitions", shape.in_sorted_order(rules))
+    return m
 
 
 def is_canonical(m: MachineDescription) -> bool:
@@ -195,23 +235,31 @@ def is_canonical(m: MachineDescription) -> bool:
     That is its shape's header exactly, with a nonempty input alphabet.
     """
     try:
-        shape = _shape_of(m)
+        shape, _ = _shape_of(m)
     except ValueError:
         return False
-    return shape.sigma_size > 0 and shape.header == (m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
+    return shape.sigma_size > 0 and shape.header == _header(m)
 
 
 def encode(m: MachineDescription) -> int:
-    """The index of a canonical machine; inverse of decode."""
+    """The index of a canonical machine; inverse of decode.
+
+    The header is checked before the walk grows to the machine's shape, so a
+    machine outside the normal form is refused without a walk.
+    """
     if not m.input_alphabet:
         raise ValueError("no index covers a machine with an empty input alphabet")
-    if not is_canonical(m):
+    try:
+        shape, start = _shape_of(m)
+    except ValueError:
+        shape = None  # an alphabet outgrows its universe
+    if shape is None or shape.header != _header(m):
         raise ValueError("machine is not in canonical form; canonicalize it first")
-    sigma_size = len(m.input_alphabet)
-    dims = (m.state_count, sigma_size, len(m.tape_alphabet) - sigma_size - 1)
-    while dims not in _by_dims:
-        _extend_walk()
-    shape, start = _by_dims[dims]
+    if start is None:
+        dims = (shape.states, shape.sigma_size, shape.extra_count)
+        while dims not in _by_dims:
+            _extend_walk()
+        shape, start = _by_dims[dims]
     position, digit_of = shape.position, shape.digit_of
     digits = [0] * shape.digit_count
     for q, s, q2, w, mv in m.transitions:

@@ -51,8 +51,8 @@ entries, and a run pays a lookup, not the building of a frozen dataclass.
 Which outcomes are shared is not API; compare them by value. The memo holds
 at most that many outputs, each of at most fuel + len(input) + 1 symbols.
 
-Every `MachineDescription` is validated when it is built, `decode`'s
-included. The header (state count, roles, alphabets, blank) is checked once
+The constructor validates every machine; `decode` assembles its own
+unchecked. The header (state count, roles, alphabets, blank) is checked once
 per distinct header and remembered; the transition table is checked in one
 pass of set checks over its columns, and only a table that fails them is
 walked rule by rule, to name the first fault and the rules at fault.

@@ -9,18 +9,22 @@ The rows may be any iterable of mappings, a generator included, and are
 read once. They are rendered in chunks of _CHUNK_ROWS, each joined into one
 string as soon as it is rendered, so rendering holds one chunk's lines at a
 time and, at the end, the joined chunks and the output: about twice the
-output's size. `write_report` renders the whole text before it opens the
-file, so a report that fails to render leaves no file.
+output's size. `write_report` writes the same chunks, one at a time, to a
+temporary file beside its target and renames it over the target once the
+last is written, so a report that fails to render leaves the target as it
+was and no temporary file; an older report's permissions carry over.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 
@@ -32,12 +36,13 @@ FORMATS = ("csv", "jsonl")
 _CHUNK_ROWS = 1024
 
 
-def render_report(
+def _chunks(
     rows: Iterable[Mapping[str, object]],
     columns: Sequence[str],
     fmt: str,
     config: Mapping[str, object],
-) -> str:
+) -> Iterator[str]:
+    """The report's text in chunks: the header, then _CHUNK_ROWS rows at a time."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
     meta = json.dumps({"tool": "traitbench", "version": __version__, "config": dict(sorted(config.items()))}, sort_keys=True)
@@ -55,15 +60,22 @@ def render_report(
         def render(chunk: Iterable[Mapping[str, object]]) -> None:
             lines.extend(json.dumps({col: row.get(col, "") for col in columns}, sort_keys=True) + "\n" for row in chunk)
 
-    chunks: list[str] = []
     rows = iter(rows)
     # The header is the first chunk. A chunk that renders no row ends the
     # report, so no chunk's lines are still held when the chunks are joined.
     while lines:
-        chunks.append("".join(lines))
+        yield "".join(lines)
         lines.clear()
         render(islice(rows, _CHUNK_ROWS))
-    return "".join(chunks)
+
+
+def render_report(
+    rows: Iterable[Mapping[str, object]],
+    columns: Sequence[str],
+    fmt: str,
+    config: Mapping[str, object],
+) -> str:
+    return "".join(_chunks(rows, columns, fmt, config))
 
 
 def write_report(
@@ -73,4 +85,28 @@ def write_report(
     fmt: str,
     config: Mapping[str, object],
 ) -> None:
-    Path(path).write_text(render_report(rows, columns, fmt, config), "utf-8")
+    """Render the report into a file at path, replacing any older one only once it is whole.
+
+    A path that names a device or a pipe, /dev/stdout say, is written
+    directly: it holds nothing to keep, and no file may be renamed over it.
+    """
+    chunks = _chunks(rows, columns, fmt, config)
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+        return
+    # Beside the file a symlink names, so that the link stays a link. Opened
+    # exclusively, so that the name is this call's alone.
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    out = open(temp, "x", encoding="utf-8")
+    try:
+        with out:
+            out.writelines(chunks)
+        if target.exists():
+            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -120,7 +120,7 @@ def canonicalize(m: MachineDescription) -> MachineDescription:
     """
     if m.start_state in m.halting_states:
         raise ValueError("cannot canonicalize a machine whose start state is accept or reject")
-    shape = _shape_of(m)
+    shape, _ = _shape_of(m)
     _, start, accept, reject, _, gamma, _ = shape.header
     roles = {m.start_state: start, m.accept_state: accept, m.reject_state: reject}
     others = iter(q for q in range(m.state_count) if q not in roles.values())

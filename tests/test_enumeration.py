@@ -1,6 +1,8 @@
 """Index bijection: pairing, decode/encode, validation, index-set sweeps."""
 
+import gc
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from traitbench import enumeration, machine
 from traitbench.cli import main
 from traitbench.enumeration import decode, encode, index_set_bounded, is_canonical, pair, unpair
-from traitbench.machine import EquivKind, MachineError, equiv_bounded
+from traitbench.machine import EquivKind, MachineDescription, MachineError, equiv_bounded
 from util import canonical_machines, random_canonical_machine
 
 
@@ -51,15 +53,22 @@ class TestDecode:
         assert (m.start_state, m.accept_state, m.reject_state) == (0, 1, 2)
         assert m.rule_map == {(0, "a"): (0, "a", "L"), (0, "_"): (0, "a", "L")}
 
-    def test_decode_validates_every_machine(self, monkeypatch, capsys):
-        # enumerate --validate checks machines only by decoding them, so a
-        # decode that skipped validation would make its count vacuous.
+    def test_enumerate_validate_checks_what_decode_does_not(self, monkeypatch, capsys):
+        # decode assembles its machines unchecked, so enumerate --validate
+        # validates each one itself; were it to rely on decode, its count
+        # would be vacuous.
+        checked = []
+        monkeypatch.setattr(machine, "_validate", checked.append)
+        decode(7)
+        assert checked == []
+        assert main(["enumerate", "--validate", "--max", "3"]) == 0
+        assert checked == [decode(0), decode(1), decode(2)]
+
         def reject(m):
             raise MachineError("rejected")
 
+        capsys.readouterr()
         monkeypatch.setattr(machine, "_validate", reject)
-        with pytest.raises(MachineError):
-            decode(7)
         assert main(["enumerate", "--validate", "--max", "3"]) == 1
         assert "machines valid" not in capsys.readouterr().out
 
@@ -80,6 +89,55 @@ class TestDecode:
             for m in map(decode, range(5000))
         }
         assert shapes == {(3, 1, 2), (4, 1, 2)}
+
+
+def decoded_and_constructed(n):
+    """decode(n), and the machine the public constructor builds from its shape's header and its rules reversed."""
+    m, (shape, _) = decode(n), enumeration._locate_index(n)
+    return m, MachineDescription(*shape.header, tuple(reversed(m.transitions)))
+
+
+def assert_assembled_as_constructed(n):
+    m, built = decoded_and_constructed(n)
+    assert [getattr(m, f.name) for f in fields(m)] == [getattr(built, f.name) for f in fields(built)]
+    assert m == built and hash(m) == hash(built)
+    assert m.rule_map == built.rule_map
+    machine._validate(m)
+    assert encode(m) == n
+
+
+class TestAssembly:
+    """decode builds its machines without the constructor; they must be the constructor's."""
+
+    def test_a_prefix_of_the_index_space(self):
+        for n in range(5000):
+            assert_assembled_as_constructed(n)
+
+    def test_seeded_indices_stratified_up_to_ten_million(self):
+        # One index in each of 20,000 strata of 500, across the first four
+        # shapes; none of them has an extra tape symbol.
+        rng = random.Random(21)
+        for k in range(20000):
+            assert_assembled_as_constructed(k * 500 + rng.randrange(500))
+
+    def test_a_shape_with_extra_symbols(self):
+        # Three states, two letters and three extras: the keys read a b _ A B C
+        # in each state and the sorted rules A B C _ a b.
+        while (3, 2, 3) not in enumeration._by_dims:
+            enumeration._extend_walk()
+        shape, start = enumeration._by_dims[3, 2, 3]
+        rng = random.Random(21)
+        for table in [0, shape.capacity - 1, *(rng.randrange(shape.capacity) for _ in range(2000))]:
+            assert_assembled_as_constructed(start + table)
+        assert [s for _, s, *_ in decode(start).transitions] == ["A", "B", "C", "_", "a", "b"]
+
+    def test_fields_are_stored_as_the_constructor_stores_them(self):
+        # Inline values on CPython 3.11 and later, and in the same order, so
+        # that vars(), and a pickle or copy made from it, match too. vars()
+        # comes last, as it turns inline values into a dict.
+        m, built = decoded_and_constructed(1234)
+        assert [type(r) for r in gc.get_referents(m)] == [type(r) for r in gc.get_referents(built)]
+        assert list(vars(m).items()) == list(vars(built).items())
 
 
 class TestEncode:
