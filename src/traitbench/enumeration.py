@@ -102,13 +102,6 @@ class _Shape:
         """Every field but the rules, in MachineDescription's order: start 0, accept and reject last."""
         return (self.states, 0, self.states - 2, self.states - 1, self.sigma, self.gamma, BLANK)
 
-    def machine(self, rules: tuple[Rule, ...]) -> MachineDescription:
-        """The machine of this shape with these rules in any order, built and validated by the public constructor.
-
-        canonicalize builds through it; decode assembles its own machines.
-        """
-        return MachineDescription(*self.header, rules)
-
     @cached_property
     def radix(self) -> int:
         return self.states * len(self.gamma) * 2

@@ -52,10 +52,9 @@ Which outcomes are shared is not API; compare them by value. The memo holds
 at most that many outputs, each of at most fuel + len(input) + 1 symbols.
 
 The constructor validates every machine; `decode` assembles its own
-unchecked. The header (state count, roles, alphabets, blank) is checked once
-per distinct header and remembered; the transition table is checked in one
-pass of set checks over its columns, and only a table that fails them is
-walked rule by rule, to name the first fault and the rules at fault.
+unchecked. Validation is one pass: the header (state count, roles,
+alphabets, blank), then the rules in order, then the table's totality, and
+the first fault raises, naming the rules at fault.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from operator import eq, itemgetter
+from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping
 
 LEFT = "L"
@@ -127,8 +126,7 @@ class MachineDescription:
     alphabet, and accept and reject must be distinct states.
 
     Construction checks all of this and raises MachineError on the first
-    fault. The header is checked once per distinct header, the table in one
-    pass of set checks; the per-rule walk runs only to name a fault.
+    fault.
     """
 
     state_count: int
@@ -158,88 +156,35 @@ class MachineDescription:
         return (q for q in range(self.state_count) if q not in halting)
 
 
-# Distinct headers remembered by _checked_header. A sweep over the index
-# space meets a handful of shapes, and a transform one header per parameter.
-_HEADERS_REMEMBERED = 64
+def _validate(m: MachineDescription) -> None:
+    """Check the header, then each rule in order, then that the table is total; raise MachineError on the first fault.
 
-
-@lru_cache(maxsize=_HEADERS_REMEMBERED)
-def _checked_header(state_count: int, start: int, accept: int, reject: int, input_alphabet: tuple[str, ...], tape_alphabet: tuple[str, ...], blank: str) -> frozenset[str]:
-    """The tape alphabet as a set, once the header holds; else the first fault as a MachineError.
-
-    Memoised: a header is checked once however many machines share it. A
-    fault is an exception, which lru_cache does not keep, so a faulty header
-    raises on every construction.
+    The constructor and `enumerate --validate` read this from the module at
+    call time, so a rebound _validate (a tracer's) sees every check.
     """
-    if state_count < 3:
+    if m.state_count < 3:
         raise MachineError("a machine needs at least start, accept, and reject states")
-    for label, q in (("start", start), ("accept", accept), ("reject", reject)):
-        if not 0 <= q < state_count:
-            raise MachineError(f"{label} state {q} is out of range 0..{state_count - 1}")
-    if accept == reject:
+    for label, q in (("start", m.start_state), ("accept", m.accept_state), ("reject", m.reject_state)):
+        if not 0 <= q < m.state_count:
+            raise MachineError(f"{label} state {q} is out of range 0..{m.state_count - 1}")
+    if m.accept_state == m.reject_state:
         raise MachineError("accept and reject must be distinct states")
-    for name, alphabet in (("input", input_alphabet), ("tape", tape_alphabet)):
+    for name, alphabet in (("input", m.input_alphabet), ("tape", m.tape_alphabet)):
         for sym in alphabet:
             if len(sym) != 1:
                 raise MachineError(f"{name} alphabet symbol {sym!r} is not a single character")
         if len(set(alphabet)) != len(alphabet):
             raise MachineError(f"{name} alphabet repeats a symbol")
-    if len(blank) != 1:
-        raise MachineError(f"blank symbol {blank!r} is not a single character")
-    if blank not in tape_alphabet:
+    if len(m.blank) != 1:
+        raise MachineError(f"blank symbol {m.blank!r} is not a single character")
+    if m.blank not in m.tape_alphabet:
         raise MachineError("the blank symbol must belong to the tape alphabet")
-    if blank in input_alphabet:
+    if m.blank in m.input_alphabet:
         raise MachineError("the blank symbol must not belong to the input alphabet")
-    tape_set = frozenset(tape_alphabet)
-    missing = [s for s in input_alphabet if s not in tape_set]
+    tape_set = frozenset(m.tape_alphabet)
+    missing = [s for s in m.input_alphabet if s not in tape_set]
     if missing:
         raise MachineError(f"input symbols {missing} are missing from the tape alphabet")
-    return tape_set
-
-
-_MOVES = frozenset((LEFT, RIGHT))
-
-
-def _validate(m: MachineDescription) -> None:
-    """Check the header once per distinct header, then the table in one pass of set checks.
-
-    The table holds when it has one rule per (working state, tape symbol)
-    pair, no two rules share a (state, read symbol) key, every source is a
-    working state and every target a state, and every symbol and move is
-    legal; distinct keys, as many as the pairs, drawn from the pairs, are
-    then all of them. Only a table that fails is walked rule by rule, to
-    name its first fault.
-    """
-    try:
-        tape_set = _checked_header(m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
-    except TypeError:
-        # A header that cannot be a memo key is checked as given, uncached.
-        tape_set = _checked_header.__wrapped__(m.state_count, m.start_state, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet, m.blank)
-    rules = m.transitions
-    # The count comes first: it bounds the state count by the table's size
-    # before a set of the states is built.
-    if len(rules) == (m.state_count - 2) * len(tape_set):
-        try:
-            states = set(range(m.state_count))
-            working = states - {m.accept_state, m.reject_state}
-            sources, reads, targets, writes, moves = zip(*rules, strict=True)
-            if (
-                len(working) == m.state_count - 2  # both halting states are states
-                and len(set(map(itemgetter(0, 1), rules))) == len(rules)
-                and working.issuperset(sources)
-                and states.issuperset(targets)
-                and tape_set.issuperset(reads)
-                and tape_set.issuperset(writes)
-                and _MOVES.issuperset(moves)
-            ):
-                return
-        except (TypeError, ValueError):
-            pass  # a rule of the wrong shape or type: the walk reports it as it always has
-    _find_rule_fault(m, tape_set)
-
-
-def _find_rule_fault(m: MachineDescription, tape_set: frozenset[str]) -> None:
-    """Walk the rules in order and raise on the first fault, naming its rules."""
     halting = m.halting_states
     seen: dict[tuple[int, str], Rule] = {}
     for rule in m.transitions:

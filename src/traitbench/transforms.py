@@ -127,7 +127,7 @@ def canonicalize(m: MachineDescription) -> MachineDescription:
     state_map = {q: roles[q] if q in roles else next(others) for q in range(m.state_count)}
     extras = [sym for sym in m.tape_alphabet if sym not in m.input_alphabet and sym != m.blank]
     symbol_map = dict(zip((*m.input_alphabet, m.blank, *extras), gamma))
-    return shape.machine(tuple(
+    return MachineDescription(*shape.header, tuple(
         (state_map[q], symbol_map[s], state_map[q2], symbol_map[w], mv)
         for q, s, q2, w, mv in m.transitions
     ))

@@ -5,8 +5,8 @@ a set of visited cells, and, for the space graph, a set of every
 configuration seen so far. It steps every run to its fuel, so fuels far past
 the engine's divergence certificates check the fast-forwarded outcomes.
 
-Validation is checked the same way, against `util.reference_validate`, which
-makes every check rule by rule with no memo and no set checks, and the normal
+Validation is checked the same way, against `util.reference_validate`, an
+independent copy of every check kept apart from the engine's, and the normal
 form against `util.reference_canonicalize` and `util.reference_is_canonical`,
 which state it field by field without the enumeration's shapes.
 """

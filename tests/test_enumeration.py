@@ -184,6 +184,16 @@ class TestEncode:
             encode(pad(echo, 1))
         assert len(enumeration._shapes) == 0
 
+    def test_an_alphabet_past_its_universe_is_refused_before_the_walk_grows(self):
+        from traitbench import enumeration
+
+        letters = tuple("abcdefghijk")
+        m = MachineDescription(3, 0, 1, 2, letters, letters + ("_",), "_", tuple((0, s, 1, s, "R") for s in letters + ("_",)))
+        walked = len(enumeration._shapes)
+        with pytest.raises(ValueError, match="^machine is not in canonical form; canonicalize it first$"):
+            encode(m)
+        assert len(enumeration._shapes) == walked
+
 
 class TestIndexSet:
     def test_buckets_match_direct_pairwise_comparison(self):

@@ -55,6 +55,11 @@ class TestJsonl:
         assert set(json.loads(lines[1])) == set(COLUMNS)
 
 
+def test_an_unknown_format_is_refused():
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        render_report(ROWS, COLUMNS, "xml", CONFIG)
+
+
 class TestWrite:
     def test_reruns_are_byte_identical(self, tmp_path):
         for fmt in FORMATS:

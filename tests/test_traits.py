@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from traitbench import traits
 from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
-from traitbench.machine import EquivKind, equiv_bounded, run
+from traitbench.machine import EquivKind, MachineDescription, equiv_bounded, run
 from traitbench.measures import parse_bound, time_measure
 from traitbench.transforms import delay_inject, leaky_wrap
 from traitbench.traits import (
@@ -321,6 +321,11 @@ class TestProbeSemanticity:
     def test_negative_probes_are_refused(self, echo):
         with pytest.raises(ValueError, match="probes must be nonnegative"):
             probe_semanticity(state_count_trait(3), echo, -1, BOUNDS)
+
+    def test_leak_alone_cannot_probe_an_empty_input_alphabet(self):
+        m = MachineDescription(3, 0, 1, 2, (), ("_",), "_", ((0, "_", 1, "_", "R"),))
+        with pytest.raises(ValueError, match="no applicable probe kinds"):
+            probe_semanticity(state_count_trait(3), m, 1, Bounds(0, 10), kinds=("leak",))
 
     def test_pad_variants_read_the_members_runs(self, echo, runs):
         result = probe_semanticity(total_on_nonempty_trait(), echo, 1, BOUNDS, kinds=("pad",))

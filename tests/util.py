@@ -246,7 +246,7 @@ def unvalidated_machine(**fields) -> MachineDescription:
 
 
 def reference_validate(m: MachineDescription) -> None:
-    """Every check of a machine, one after another and rule by rule, with no memo and no set checks."""
+    """Every check of a machine, one after another and rule by rule, written apart from machine._validate."""
     if m.state_count < 3:
         raise MachineError("a machine needs at least start, accept, and reject states")
     for label, q in (("start", m.start_state), ("accept", m.accept_state), ("reject", m.reject_state)):
