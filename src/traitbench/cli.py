@@ -304,17 +304,24 @@ _MODE_FLAGS = {
         "trials": (5, {"discriminate"}),
         "max_len": (3, {"xi", "discriminate"}),
     },
+    "contain": {
+        "max_len": (2, {"sweep"}),
+    },
 }
-_REPORT_MODES = {"validate", "reference", "xi", "discriminate"}
+# Per command with modes: the flags that choose a mode, and the mode when none is given.
+_MODES = {
+    "enumerate": (("show", "reference", "pair", "unpair"), "validate"),
+    "measure": (("graph", "xi", "discriminate"), "evaluate"),
+    "contain": (("inputs",), "sweep"),
+}
+_REPORT_MODES = {"validate", "reference", "xi", "discriminate", "inputs", "sweep"}
 
 
 def _mode(args: argparse.Namespace) -> str:
-    """The chosen mode of enumerate or measure: the mode flag given, else the default mode."""
-    if args.command == "enumerate":
-        modes, default = ("show", "reference", "pair", "unpair"), "validate"
-    else:
-        modes, default = ("graph", "xi", "discriminate"), "evaluate"
-    return next((mode for mode in modes if getattr(args, mode) not in (None, False)), default)
+    """The chosen mode of a command with modes: the mode flag given, else the default mode."""
+    modes, default = _MODES[args.command]
+    # An omitted flag is None, or False for a switch; a given one may be 0 or "".
+    return next((mode for mode in modes if getattr(args, mode) is not None and getattr(args, mode) is not False), default)
 
 
 def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -458,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True)
     p.add_argument("--policy", required=True, help="JSON file with classified strings")
     p.add_argument("--inputs", help="comma-separated inputs; defaults to all up to --max-len")
-    p.add_argument("--max-len", type=_count, default=2)
+    p.add_argument("--max-len", type=_count, help=f"longest input, without --inputs {_default('contain', 'max_len')}")
     p.add_argument("--fuel", type=_count, default=500)
     _add_report_flags(p)
     p.set_defaults(func=cmd_contain)

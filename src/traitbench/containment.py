@@ -11,22 +11,9 @@ The first condition is strictly stronger than the second and that gap is
 the point: a machine can compute a perfectly innocent function while its
 intermediate tape contents leak, and only trace scanning sees it.
 
-The tape content of a configuration is its rendering: the cells from the
-leftmost to the rightmost non-blank one, interior blanks included, so a
-classified string holding the blank symbol matches blank cells between
-written ones. The scan reads the trace's own tape snapshots, whose string
-is exactly that content and whose base is its leftmost cell, so it keeps
-no copy of the tape and never walks one. The first configuration is
-scanned in full; after it, each step changes one cell, the one the head
-was on, and a step that changes no symbol shares its predecessor's
-snapshot and is skipped. A step that does change one can make a classified
-string appear only where it overlaps the written cell or the blank cells a
-widening write exposes between that cell and the old end, so only that
-slice of the snapshot, padded by the longest classified string, is tested.
-Erasing an end cell only shrinks the content and is not tested at all. The
-full rendering is made only for the report, once per (input, classified
-string), and the scan of an input stops once every classified string has
-been found in it.
+The tape content of a configuration is its rendering, interior blanks
+included, and each step is tested only on the piece of it that
+`machine._new_content` yields.
 """
 
 from __future__ import annotations
@@ -38,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .machine import MachineDescription, _classify_tape, _Snapshot, render_tape, trace
+from .machine import MachineDescription, _classify_tape, _new_content, render_tape, trace
 
 
 @dataclass(frozen=True)
@@ -138,23 +125,6 @@ class ContainmentReport:
         return out
 
 
-def _changed_content(before: _Snapshot, after: _Snapshot, cell: int, reach: int) -> str:
-    """The piece of after's content where a string that before lacks can appear.
-
-    after is before with cell written. A new occurrence overlaps the written
-    cell or the blanks a widening write exposes between it and the old end,
-    and spans at most reach + 1 cells. An end erase leaves cell outside the
-    content, which only shrinks, so its piece is empty.
-    """
-    base, cells = after.base, after.cells
-    if not base <= cell < base + len(cells):
-        return ""
-    # Bounds left over from an emptied before give a wider [a, b], never a narrower one.
-    a = min(cell, before.base + len(before.cells))
-    b = max(cell, before.base - 1)
-    return cells[max(a - reach - base, 0) : b + reach + 1 - base]
-
-
 def containment_check(
     m: MachineDescription,
     policy: ContainmentPolicy,
@@ -175,17 +145,10 @@ def containment_check(
     for sigma in sorted(set(inputs)):
         configs = trace(m, sigma, fuel)
         pending = list(dict.fromkeys(policy.classified))
-        before = None
-        for step, config in enumerate(configs):
-            tape = config.tape
-            if tape is before:
-                continue
-            # The previous step wrote the cell its head was on.
-            piece = tape.cells if before is None else _changed_content(before, tape, configs[step - 1].head, reach)
-            before = tape
+        for step, piece in _new_content(configs, reach):
             leaked = [chi for chi in pending if chi in piece]
             if leaked:
-                rendering = render_tape(config, m.blank)
+                rendering = render_tape(configs[step], m.blank)
                 trace_violations.extend(TraceViolation(sigma, step, chi, rendering) for chi in leaked)
                 pending = [chi for chi in pending if chi not in leaked]
                 if not pending:

@@ -42,8 +42,8 @@ non-blank cell with interior blanks included, and the cell it starts at,
 read as the Mapping of its non-blank cells. A step that changes no symbol
 shares its predecessor's snapshot, and one that does copies the string
 once, so a trace costs about a byte per cell per step, not a dict entry per
-cell. `containment` scans a trace by reading each snapshot's start cell and
-string.
+cell. `_new_content` yields the piece of each step's content where a string
+can first appear, and `containment` scans only those pieces.
 
 Most runs take a step or two, so a run's fixed cost is kept small: the
 engine hands out shared outcomes from a memo of _OUTCOMES_REMEMBERED
@@ -296,7 +296,7 @@ class _Snapshot(Mapping[int, str]):
     non-blank cell with interior blanks included, and base is the leftmost
     non-blank cell (its value is left over from an earlier tape once cells
     is empty). As a Mapping the snapshot holds only the non-blank cells, as
-    a dict tape does. `containment` reads base and cells directly.
+    a dict tape does.
     """
 
     __slots__ = ("base", "cells", "blank")
@@ -338,6 +338,32 @@ class _Snapshot(Mapping[int, str]):
         # Only an erase, or a write to an empty tape, leaves blanks at an end.
         trimmed = cells.lstrip(blank)
         return _Snapshot(base + len(cells) - len(trimmed), trimmed.rstrip(blank), blank)
+
+
+def _new_content(configs: list[Configuration], reach: int) -> Iterator[tuple[int, str]]:
+    """(step, piece) for each step of a trace whose content can hold a string its predecessor's lacks.
+
+    A piece holds every occurrence, in its step's content, of a string of at
+    most reach + 1 symbols that the previous content lacks. Step 0 yields
+    its whole content. Each later step writes the cell the previous head was
+    on, and one that changes no symbol shares its predecessor's snapshot and
+    yields nothing. A new occurrence overlaps the written cell or the blanks
+    a widening write exposes between it and the old end, so the piece is that
+    stretch padded by reach cells. An end erase leaves the written cell
+    outside the content, which only shrinks, and yields nothing.
+    """
+    before = configs[0].tape
+    yield 0, before.cells
+    for step, config in enumerate(configs):
+        after = config.tape
+        if after is not before:
+            cell, base, cells = configs[step - 1].head, after.base, after.cells
+            if base <= cell < base + len(cells):
+                # Bounds left over from an emptied before give a wider [a, b], never a narrower one.
+                a = min(cell, before.base + len(before.cells))
+                b = max(cell, before.base - 1)
+                yield step, cells[max(a - reach - base, 0) : b + reach + 1 - base]
+            before = after
 
 
 def _check_input(m: MachineDescription, input_string: str) -> None:

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, printed verdicts, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import traitbench
 from traitbench.cli import main
 from traitbench.enumeration import decode
 from traitbench.machine import equiv_bounded, format_machine, parse_machine
@@ -200,8 +205,9 @@ class TestEnumerate:
             (["--unpair", "5"], ["--fuel", "5"], "the unpair mode does not read --fuel"),
             (["--validate"], ["--max-len", "2"], "the validate mode does not read --max-len"),
             ([], ["--fuel", "100"], "the validate mode does not read --fuel"),
+            (["--show", "0"], ["--max", "2"], "the show mode does not read --max"),
         ],
-        ids=["show", "pair", "unpair", "validate", "default-validate"],
+        ids=["show", "pair", "unpair", "validate", "default-validate", "show-zero"],
     )
     def test_flags_the_mode_does_not_read_exit_two(self, mode, flags, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -209,7 +215,7 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_omitted_flags_take_their_defaults(self, machine_file, echo, tmp_path, capsys):
+    def test_omitted_flags_take_their_defaults(self, machine_file, echo, policy_file, tmp_path, capsys):
         # Only the flags the mode reads take a default; the header records no other.
         out = tmp_path / "valid.csv"
         assert main(["enumerate", "--max", "1", "--out", str(out)]) == 0
@@ -221,6 +227,11 @@ class TestEnumerate:
         config = json.loads(out.read_text().splitlines()[0][2:])["config"]
         assert (config["max_len"], config["fuel"]) == (3, 1000)
         assert "input" not in config and "trials" not in config
+        out = tmp_path / "contain.csv"
+        assert main(["contain", "--machine", machine_file(echo), "--policy", policy_file, "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0][2:])["config"]["max_len"] == 2
+        assert main(["contain", "--machine", machine_file(echo), "--policy", policy_file, "--inputs", "a", "--out", str(out)]) == 0
+        assert "max_len" not in json.loads(out.read_text().splitlines()[0][2:])["config"]
 
 
 class TestTransformCommands:
@@ -350,8 +361,9 @@ class TestMeasure:
             (["--xi", "n"], ["--input", "a", "--trials", "2"], "the xi mode does not read --input, --trials"),
             (["--discriminate"], ["--input", "a"], "the discriminate mode does not read --input"),
             ([], ["--input", "a", "--max-len", "3"], "the evaluate mode does not read --max-len"),
+            (["--graph", "0"], ["--fuel", "5"], "the graph mode does not read --fuel"),
         ],
-        ids=["graph", "xi", "discriminate", "evaluate"],
+        ids=["graph", "xi", "discriminate", "evaluate", "graph-zero"],
     )
     def test_flags_the_mode_does_not_read_exit_two(self, machine_file, echo, mode, flags, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -468,6 +480,13 @@ class TestContain:
         assert lines[-1] == "violated trace_violations=7 output_violations=1"
         assert sum("condition=trace" in line for line in lines) == 7
 
+    @pytest.mark.parametrize("inputs", ["ab", ""])
+    def test_the_inputs_mode_refuses_max_len(self, machine_file, echo, policy_file, inputs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["contain", "--machine", machine_file(echo), "--policy", policy_file, "--inputs", inputs, "--max-len", "3"])
+        assert exc.value.code == 2
+        assert "contain: the inputs mode does not read --max-len" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "policy",
         [{"unclassified_regex": "a*"}, {"classified": "bb"}, {"classified": [1]}, {"classified": ["bb"], "unclassified_regex": "("}],
@@ -498,3 +517,10 @@ class TestReportDeterminism:
             main(["--version"])
         assert info.value.code == 0
         assert "traitbench" in capsys.readouterr().out
+
+    def test_the_module_runs_as_a_script(self):
+        # The package's parent directory goes first on the path, so the child imports this checkout.
+        src = str(Path(traitbench.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "traitbench.cli", "--version"], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, f"traitbench {traitbench.__version__}\n")

@@ -1,6 +1,8 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
 import gc
+import pydoc
+import re
 import string
 import tracemalloc
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from traitbench import machine
 from traitbench.enumeration import decode, encode
-from traitbench.fixtures import all_fixtures
+from traitbench.fixtures import FIXTURE_NAMES, all_fixtures, load_fixture
 from traitbench.machine import (
     Configuration,
     EquivKind,
@@ -140,6 +142,11 @@ class TestRun:
         assert ran == fresh and hash(ran) == hash(fresh)
         stored = [type(r) for r in gc.get_referents(ran) if r is not rules]
         assert stored == [type(r) for r in gc.get_referents(fresh)]
+
+    def test_help_on_the_class_lists_the_rule_map(self):
+        # Read on the class, the descriptor returns itself and builds no map.
+        assert isinstance(MachineDescription.rule_map, machine._RuleMap)
+        assert "rule_map = <traitbench.machine._RuleMap object>" in pydoc.render_doc(MachineDescription, renderer=pydoc.plaintext)
 
 
 class TestSharedOutcomes:
@@ -433,6 +440,10 @@ class TestParseFormat:
         for m in all_fixtures().values():
             assert parse_machine(format_machine(m)) == m
 
+    def test_an_unknown_fixture_name_lists_the_known_ones(self):
+        with pytest.raises(KeyError, match=re.escape(f"unknown fixture 'nope', expected one of {FIXTURE_NAMES}")):
+            load_fixture("nope")
+
     @given(canonical_machines())
     @settings(max_examples=80, deadline=None)
     def test_format_parse_round_trip(self, m):
@@ -622,7 +633,7 @@ SMALL_MACHINE_FIELDS = {
 }
 
 
-class TestHeaderMemo:
+class TestOddFields:
     """Odd header fields and rules: construction raises what the reference raises, every time."""
 
     def test_a_faulty_header_raises_on_every_construction(self):

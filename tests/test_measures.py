@@ -9,6 +9,7 @@ from traitbench.machine import MachineError, run, strings_up_to
 from traitbench.measures import (
     MEASURES,
     BoundCheckKind,
+    BoundFunction,
     ComposedBound,
     LinearBound,
     ResourceMeasure,
@@ -209,6 +210,12 @@ class TestBounds:
         for text in ("", "n^2", "2x+1", "table:"):
             with pytest.raises(ValueError):
                 parse_bound(text)
+
+    def test_the_base_class_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            BoundFunction()(0)
+        with pytest.raises(NotImplementedError):
+            BoundFunction().describe()
 
 
 class TestUsageWithinBound:

@@ -199,6 +199,12 @@ class TestExpressions:
         expr = state_count_trait(3) & ~state_count_trait(4)
         assert expr_name(expr) == "and(states:3,not(states:4))"
 
+    def test_a_non_expression_is_refused(self, echo):
+        with pytest.raises(TypeError, match="^not a trait expression: <object object"):
+            eval_trait(object(), echo, BOUNDS)
+        with pytest.raises(TypeError, match="^not a trait expression: <object object"):
+            expr_name(object())
+
 
 class TestParseTrait:
     def test_leaves(self, echo):
