@@ -35,7 +35,7 @@ from .measures import (
     parse_bound,
     usage_within_bound,
 )
-from .reporting import write_report
+from .reporting import FORMATS, write_report
 from .traits import (
     Bounds,
     build_halting_oracle,
@@ -284,44 +284,41 @@ def _cost(text: str) -> int:
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write a report file instead of printing rows")
-    p.add_argument("--format", choices=("csv", "jsonl"), help="report file format (default csv)")
+    p.add_argument("--format", choices=FORMATS, help="report file format (default csv)")
 
 
-# The flags that only some modes of a command read, with their defaults, and
-# the modes that read each. The parser leaves them None when omitted, so that
-# main can refuse one given to a mode that ignores it, then fills in the
+# Per command with modes: the defaults of the flags that only some modes read,
+# then each mode with those of the flags it reads and whether it writes a
+# report (reads --out and --format). A mode flag chooses the mode it names; the
+# last mode is the default. The parser leaves those flags None when omitted, so
+# that main can refuse one given to a mode that ignores it, then fills in the
 # defaults of the ones the mode reads.
-# --out and --format are read only by the modes that write a report.
-_MODE_FLAGS = {
-    "enumerate": {
-        "max": (1000, {"validate", "reference"}),
-        "max_len": (2, {"reference"}),
-        "fuel": (100, {"reference"}),
-    },
-    "measure": {
-        "input": ("", {"evaluate", "graph"}),
-        "fuel": (1000, {"evaluate", "xi", "discriminate"}),
-        "trials": (5, {"discriminate"}),
-        "max_len": (3, {"xi", "discriminate"}),
-    },
-    "contain": {
-        "max_len": (2, {"sweep"}),
-    },
-}
-# Per command with modes: the flags that choose a mode, and the mode when none is given.
 _MODES = {
-    "enumerate": (("show", "reference", "pair", "unpair"), "validate"),
-    "measure": (("graph", "xi", "discriminate"), "evaluate"),
-    "contain": (("inputs",), "sweep"),
+    "enumerate": ({"max": 1000, "max_len": 2, "fuel": 100}, {
+        "show": ((), False),
+        "reference": (("max", "max_len", "fuel"), True),
+        "pair": ((), False),
+        "unpair": ((), False),
+        "validate": (("max",), True),
+    }),
+    "measure": ({"input": "", "fuel": 1000, "trials": 5, "max_len": 3}, {
+        "graph": (("input",), False),
+        "xi": (("fuel", "max_len"), True),
+        "discriminate": (("fuel", "trials", "max_len"), True),
+        "evaluate": (("input", "fuel"), False),
+    }),
+    "contain": ({"max_len": 2}, {
+        "inputs": ((), True),
+        "sweep": (("max_len",), True),
+    }),
 }
-_REPORT_MODES = {"validate", "reference", "xi", "discriminate", "inputs", "sweep"}
 
 
 def _mode(args: argparse.Namespace) -> str:
     """The chosen mode of a command with modes: the mode flag given, else the default mode."""
-    modes, default = _MODES[args.command]
+    *flagged, default = _MODES[args.command][1]
     # An omitted flag is None, or False for a switch; a given one may be 0 or "".
-    return next((mode for mode in modes if getattr(args, mode) is not None and getattr(args, mode) is not False), default)
+    return next((mode for mode in flagged if getattr(args, mode) is not None and getattr(args, mode) is not False), default)
 
 
 def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -330,18 +327,19 @@ def _check_mode_flags(parser: argparse.ArgumentParser, args: argparse.Namespace)
     A flag the mode does not read stays None, so the report header, which
     records the configuration, leaves it out.
     """
-    flags = _MODE_FLAGS.get(args.command)
-    if flags is None:
+    if args.command not in _MODES:
         return
+    defaults, modes = _MODES[args.command]
     mode = _mode(args)
-    if mode not in _REPORT_MODES and (args.out is not None or args.format is not None):
+    reads, writes_report = modes[mode]
+    if not writes_report and (args.out is not None or args.format is not None):
         parser.error(f"{args.command}: this mode prints its answer and writes no report, so --out and --format do not apply")
-    unread = ["--" + flag.replace("_", "-") for flag, (_, modes) in flags.items() if mode not in modes and getattr(args, flag) is not None]
+    unread = ["--" + flag.replace("_", "-") for flag in defaults if flag not in reads and getattr(args, flag) is not None]
     if unread:
         parser.error(f"{args.command}: the {mode} mode does not read {', '.join(unread)}")
-    for flag, (default, modes) in flags.items():
-        if mode in modes and getattr(args, flag) is None:
-            setattr(args, flag, default)
+    for flag in reads:
+        if getattr(args, flag) is None:
+            setattr(args, flag, defaults[flag])
 
 
 # Per rewrite command: the rewrite, its parameter flag, flag type and help, command help, and what --out holds.
@@ -353,7 +351,7 @@ _REWRITES = {
 
 
 def _default(command: str, flag: str) -> str:
-    return f"(default {_MODE_FLAGS[command][flag][0]!r})"
+    return f"(default {_MODES[command][0][flag]!r})"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,8 @@ is the (next state, written symbol, move) a digit packs, and `keys[i]` the
 them. decode peels one digit per key with divmod and looks its action up;
 encode places each rule's digit by table lookup and folds the digits with
 Horner's rule. A shape's header alone is the normal form: decode and
-canonicalize build from it, and is_canonical and encode compare with it.
+canonicalize build from it, is_canonical compares with it, and encode asks
+is_canonical.
 
 decode assembles its machine without the public constructor, which would
 only re-check what the shape guarantees: the header is the shape's, every
@@ -242,12 +243,9 @@ def encode(m: MachineDescription) -> int:
     """
     if not m.input_alphabet:
         raise ValueError("no index covers a machine with an empty input alphabet")
-    try:
-        shape, start = _shape_of(m)
-    except ValueError:
-        shape = None  # an alphabet outgrows its universe
-    if shape is None or shape.header != _header(m):
+    if not is_canonical(m):
         raise ValueError("machine is not in canonical form; canonicalize it first")
+    shape, start = _shape_of(m)
     if start is None:
         dims = (shape.states, shape.sigma_size, shape.extra_count)
         while dims not in _by_dims:

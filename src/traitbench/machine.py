@@ -599,40 +599,37 @@ def parse_machine(text: str) -> MachineDescription:
     ]
     if not lines:
         raise ParseError("empty machine description")
-    cursor = 0
+    last = lines[-1][0]
+    rest = iter(lines)
 
-    def next_line(expected: str) -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(lines):
-            last = lines[-1][0] if lines else 0
+    def take(expected: str) -> tuple[int, str]:
+        entry = next(rest, None)
+        if entry is None:
             raise ParseError(f"unexpected end of description, expected {expected}", last)
-        entry = lines[cursor]
-        cursor += 1
         return entry
 
-    number, line = next_line("'states:'")
-    if not line.startswith("states:"):
-        raise ParseError("expected 'states: <count>'", number)
-    state_count = _parse_int(line[len("states:"):], "state count", number)
+    def directive(name: str, form: str, entry: tuple[int, str] | None = None) -> tuple[int, str]:
+        """The number of a line that must start with 'name:' (the next line by default), and what follows."""
+        number, line = entry or take(f"'{name}:'")
+        if not line.startswith(name + ":"):
+            raise ParseError(f"expected '{name}: {form}'", number)
+        return number, line[len(name) + 1:]
+
+    number, count = directive("states", "<count>")
+    state_count = _parse_int(count, "state count", number)
 
     roles: dict[str, int] = {}
     while len(roles) < 3:
-        number, line = next_line("'start:', 'accept:', and 'reject:'")
-        fields = _parse_role_fields(line, number)
-        for name, value in fields:
+        number, line = take("'start:', 'accept:', and 'reject:'")
+        for name, value in _parse_role_fields(line, number):
             if name in roles:
                 raise ParseError(f"duplicate '{name}:' field", number)
             roles[name] = value
 
-    number, line = next_line("'input_alphabet:'")
-    if not line.startswith("input_alphabet:"):
-        raise ParseError("expected 'input_alphabet: <symbols>'", number)
-    input_alphabet = tuple(line[len("input_alphabet:"):].strip())
-
-    number, line = next_line("'tape_alphabet:'")
-    if not line.startswith("tape_alphabet:"):
-        raise ParseError("expected 'tape_alphabet: <symbols>'", number)
-    tape_alphabet = tuple(line[len("tape_alphabet:"):].strip())
+    _, symbols = directive("input_alphabet", "<symbols>")
+    input_alphabet = tuple(symbols.strip())
+    number, symbols = directive("tape_alphabet", "<symbols>")
+    tape_alphabet = tuple(symbols.strip())
     if BLANK not in tape_alphabet:
         raise ParseError(f"tape alphabet must include the blank symbol {BLANK!r}", number)
     if BLANK in input_alphabet:
@@ -641,12 +638,9 @@ def parse_machine(text: str) -> MachineDescription:
     rules: list[Rule] = []
     # The line of each rule; a rule listed twice keeps its later line.
     rule_lines: dict[Rule, int] = {}
-    while cursor < len(lines):
-        number, line = next_line("a 'delta:' rule")
-        if not line.startswith("delta:"):
-            raise ParseError("expected 'delta: <state> <symbol> -> <state> <symbol> <L|R>'", number)
-        body = line[len("delta:"):].split("#", 1)[0]
-        parts = body.replace("->", " -> ").split()
+    for entry in rest:
+        number, body = directive("delta", "<state> <symbol> -> <state> <symbol> <L|R>", entry)
+        parts = body.split("#", 1)[0].replace("->", " -> ").split()
         if len(parts) != 6 or parts[2] != "->":
             raise ParseError("malformed rule, expected '<state> <symbol> -> <state> <symbol> <L|R>'", number)
         q = _parse_int(parts[0], "state", number)
@@ -667,7 +661,7 @@ def parse_machine(text: str) -> MachineDescription:
             transitions=tuple(rules),
         )
     except MachineError as exc:
-        raise ParseError(str(exc), max(map(rule_lines.__getitem__, exc.rules), default=lines[-1][0])) from exc
+        raise ParseError(str(exc), max(map(rule_lines.__getitem__, exc.rules), default=last)) from exc
 
 
 def _parse_role_fields(line: str, number: int) -> list[tuple[str, int]]:

@@ -13,6 +13,7 @@ included so that the axiom checker's negative direction can be exercised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -71,16 +72,17 @@ def _space_graph(m: MachineDescription, sigma: str, n: int) -> bool:
 
     The engine stops the run as soon as the head scans more than n cells
     (the answer is then no whatever happens later). A run confined to n
-    cells either halts or repeats a configuration, and the engine's
-    exact-repeat certificate catches every repeat: the dynamics are
-    deterministic, and a run that reaches a cycle after p steps and repeats
-    every c steps is caught by step 2 * max(p, c) + c. A confined run that
-    repeats nothing halts within pigeonhole_step_bound steps, and the fuel
-    is one more than that, so this always terminates. No cost is negative.
+    cells that does not halt repeats a configuration within
+    pigeonhole_step_bound steps, and the engine's exact-repeat certificate
+    catches every repeat: the dynamics are deterministic, and a run that
+    reaches a cycle after p steps and repeats every c steps is caught by step
+    2 * max(p, c) + c. So the run ends without fuel, and it is given a fuel
+    it cannot reach: its steps read infinite only when the certificate ends
+    it, and its cost is then undefined. No cost is negative.
     """
     if n < 0:
         return False
-    return _space_evaluate(_simulate(m, sigma, pigeonhole_step_bound(m, n) + 1, space_limit=n)) == n
+    return _space_evaluate(_simulate(m, sigma, math.inf, space_limit=n)) == n
 
 
 def space_measure() -> ResourceMeasure:

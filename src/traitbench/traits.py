@@ -367,6 +367,8 @@ def _probe(
     """Evaluate m, then probe it as probe_semanticity does; None when m is not In."""
     if probes < 0:
         raise ValueError("probes must be nonnegative")
+    if not set(kinds) <= set(PROBE_KINDS):
+        raise ValueError(f"probe kinds must be among {PROBE_KINDS}, got {kinds}")
     outcome = _run_table(m)
     if _eval(trait, m, bounds, outcome) is not Verdict.IN:
         return None

@@ -537,6 +537,10 @@ class TestParseFormat:
             pytest.param("states: 3\nstart: 0 start: 1\n", 2, "duplicate 'start:' field", id="repeated-role"),
             pytest.param("states: 3\nstart:\n", 2, "missing value after 'start:'", id="role-without-value"),
             pytest.param("states: 3\nbegin: 0\n", 2, "expected 'start:', 'accept:', or 'reject:', got 'begin:'", id="unknown-role"),
+            # A role line is read whole before its fields are checked for duplicates.
+            pytest.param("states: 3\nstart: 0 start: x\n", 2, "start state: expected a nonnegative integer, got 'x'", id="repeated-role-bad-value"),
+            pytest.param("states: 3\nstart: 0 begin: 1\nstart: 2\n", 2, "expected 'start:', 'accept:', or 'reject:', got 'begin:'", id="unknown-role-after-a-role"),
+            pytest.param("states: 3\nstart: 0\nstart: 1 bogus\n", 3, "expected 'start:', 'accept:', or 'reject:', got 'bogus'", id="repeated-role-then-unknown"),
             pytest.param(ROLES + "tape_alphabet: a_\n", 3, "expected 'input_alphabet: <symbols>'", id="no-input-alphabet"),
             pytest.param(ROLES + "input_alphabet: a\ninput_alphabet: a\n", 4, "expected 'tape_alphabet: <symbols>'", id="no-tape-alphabet"),
             pytest.param(ROLES + "input_alphabet: a\ntape_alphabet: a\n", 4, "tape alphabet must include the blank symbol '_'", id="tape-without-blank"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitbench import measures
 from traitbench.enumeration import decode
 from traitbench.machine import MachineError, run, strings_up_to
 from traitbench.measures import (
@@ -95,6 +96,19 @@ class TestSpaceMeasure:
         m = machine_from_rules("0 _ -> 1 _ R", "1 _ -> 0 _ L")
         assert pigeonhole_step_bound(m, 40) > 10**20
         assert not space_measure().graph_decide(m, "", 40)
+
+    def test_graph_needs_no_pigeonhole_fuel(self, echo, monkeypatch):
+        # The exact-repeat certificate, not a fuel, ends a confined run that
+        # does not halt, so no |Γ|^n is computed: at n = 10^9 it would take hours.
+        def refuse(m, n):
+            raise AssertionError("the space graph computed a pigeonhole fuel")
+
+        monkeypatch.setattr(measures, "pigeonhole_step_bound", refuse)
+        space = space_measure()
+        assert space.graph_decide(echo, "ab", 1)
+        assert not space.graph_decide(echo, "ab", 10**9)
+        report = check_blum_axioms(space, {n: decode(n) for n in range(300)}, lambda m: strings_up_to(m.input_alphabet, 2), 500)
+        assert (report.pairs_checked, report.violations) == (900, ())
 
     def test_pigeonhole_bound_grows_with_input_length(self, echo):
         assert pigeonhole_step_bound(echo, 0) < pigeonhole_step_bound(echo, 2)

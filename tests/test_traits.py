@@ -328,6 +328,13 @@ class TestProbeSemanticity:
         with pytest.raises(ValueError, match="probes must be nonnegative"):
             probe_semanticity(state_count_trait(3), echo, -1, BOUNDS)
 
+    def test_an_unknown_probe_kind_is_refused_before_any_variant_is_built(self, echo, monkeypatch):
+        for transform in ("pad", "delay_inject", "leaky_wrap"):
+            monkeypatch.setattr(traits, transform, None)
+        trait = usage_bounded_trait(time_measure(), parse_bound("n+2"))
+        with pytest.raises(ValueError, match=r"^probe kinds must be among \('pad', 'delay', 'leak'\), got \('pad', 'bogus'\)$"):
+            probe_semanticity(trait, echo, 2, Bounds(2, 100), kinds=("pad", "bogus"))
+
     def test_leak_alone_cannot_probe_an_empty_input_alphabet(self):
         m = MachineDescription(3, 0, 1, 2, (), ("_",), "_", ((0, "_", 1, "_", "R"),))
         with pytest.raises(ValueError, match="no applicable probe kinds"):

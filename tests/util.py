@@ -28,10 +28,7 @@ from traitbench.machine import (
     Rule,
     RunKind,
     UndefinedReason,
-    _classify_tape,
     parse_machine,
-    render_tape,
-    trace,
 )
 from traitbench.reporting import FORMATS
 from traitbench.traits import DeclaredKind, ProbeResult, SemSynPartition, TraitDef, Verdict, eval_trait, expr_name
@@ -170,22 +167,20 @@ def reference_run(m, sigma, fuel):
 
 
 def reference_containment(m, policy, inputs, fuel):
-    """containment_check as a full scan: every configuration's tape is rendered and searched."""
+    """containment_check as a full scan: every configuration of reference_run has its tape rendered and searched."""
     trace_violations, output_violations, unresolved = [], [], []
     for sigma in sorted(set(inputs)):
-        configs = trace(m, sigma, fuel)
+        configs, kind, _, _, output, _ = reference_run(m, sigma, fuel)
         found = set()
-        for step, config in enumerate(configs):
-            rendering = render_tape(config, m.blank)
+        for step, (_, _, tape) in enumerate(configs):
+            rendering = "".join(tape.get(i, m.blank) for i in range(min(tape), max(tape) + 1)) if tape else ""
             for chi in policy.classified:
                 if chi not in found and chi in rendering:
                     trace_violations.append(TraceViolation(sigma, step, chi, rendering))
                     found.add(chi)
-        last = configs[-1]
-        if last.state not in m.halting_states:
+        if kind is RunKind.FUEL_EXHAUSTED:
             unresolved.append(sigma)
             continue
-        output, _ = _classify_tape(m, last.tape)
         if output is not None and not policy.unclassified(output):
             output_violations.append(OutputViolation(sigma, output))
     if trace_violations or output_violations:
