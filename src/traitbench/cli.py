@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterator, Mapping
 
 from . import __version__, machine
 from .containment import containment_check, load_policy
@@ -188,12 +189,29 @@ def cmd_measure(args) -> int:
     return 0
 
 
+class _Decoded(Mapping[int, MachineDescription]):
+    """The machines of indices 0..count-1, each decoded when read, so a sweep holds one at a time."""
+
+    def __init__(self, count: int):
+        self.indices = range(count)
+
+    def __getitem__(self, n: int) -> MachineDescription:
+        if n not in self.indices:
+            raise KeyError(n)
+        return decode(n)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
 def cmd_blum_check(args) -> int:
-    machines = {n: decode(n) for n in range(args.max_index)}
     measure = MEASURES[args.measure]()
     report = check_blum_axioms(
         measure,
-        machines,
+        _Decoded(args.max_index),
         lambda m: strings_up_to(m.input_alphabet, args.max_len),
         args.fuel,
     )

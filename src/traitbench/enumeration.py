@@ -17,14 +17,16 @@ the table capacities of all earlier shapes plus its own table numeral, which
 makes decode total and encode its exact inverse: every natural denotes one
 canonical machine and every canonical machine has one index.
 
-Each shape computes its layout once and keeps two tables: `actions[digit]`
-is the (next state, written symbol, move) a digit packs, and `keys[i]` the
-(state, read symbol) pair digit i encodes; `digit_of` and `position` invert
-them. decode peels one digit per key with divmod and looks its action up;
-encode places each rule's digit by table lookup and folds the digits with
-Horner's rule. A shape's header alone is the normal form: decode and
-canonicalize build from it, is_canonical compares with it, and encode asks
-is_canonical.
+Each shape computes its layout once and keeps its tables: `actions[digit]`
+is the (next state, written symbol, move) a digit packs, `keys[i]` the
+(state, read symbol) pair digit i encodes, and `choices[i][digit]` the rule
+they make together; `digit_of` and `position` invert the first two. decode
+peels one digit per key with divmod and takes its rule from `choices`, so
+every machine of a shape shares its rule tuples; encode places each rule's
+digit by table lookup and folds the digits with Horner's rule. A shape's
+header alone is the normal form: decode and canonicalize build from it,
+is_canonical compares with it, and encode looks the shape up once through
+the helper is_canonical asks.
 
 decode assembles its machine without the public constructor, which would
 only re-check what the shape guarantees: the header is the shape's, every
@@ -134,6 +136,18 @@ class _Shape:
         return {key: i for i, key in enumerate(self.keys)}
 
     @cached_property
+    def choices(self) -> tuple[tuple[Rule, ...], ...]:
+        """choices[i][digit]: the rule keys[i] + actions[digit], which digit i stands for when it holds digit.
+
+        Every machine decode assembles from this shape holds these rule
+        tuples, not copies. The table holds digit_count * radix rules: 120
+        for 5 states over the tape alphabet {a, _}, the shape of every index
+        from 71,512 to 64,071,511, and 42,336 for 8 states with 10 input
+        letters and 10 extras.
+        """
+        return tuple(tuple(key + action for action in self.actions) for key in self.keys)
+
+    @cached_property
     def in_sorted_order(self) -> itemgetter:
         """Takes rules in key order to the tuple of them in sorted order.
 
@@ -203,11 +217,11 @@ def decode(n: int) -> MachineDescription:
     if n < 0:
         raise ValueError("machine indices are nonnegative")
     shape, table = _locate_index(n)
-    radix, actions = shape.radix, shape.actions
+    radix = shape.radix
     rules: list[Rule] = []
-    for key in shape.keys:
+    for row in shape.choices:
         table, digit = divmod(table, radix)
-        rules.append(key + actions[digit])
+        rules.append(row[digit])
     # The fields in the constructor's order, so that vars(m), and a pickle or
     # copy made from it, match a constructed machine's.
     m, put = object.__new__(MachineDescription), object.__setattr__
@@ -223,16 +237,21 @@ def decode(n: int) -> MachineDescription:
     return m
 
 
+def _canonical_shape(m: MachineDescription) -> tuple[_Shape, int | None] | None:
+    """m's shape and first index, as _shape_of gives them, when is_canonical(m); else None."""
+    try:
+        shape, start = _shape_of(m)
+    except ValueError:
+        return None
+    return (shape, start) if shape.sigma_size > 0 and shape.header == _header(m) else None
+
+
 def is_canonical(m: MachineDescription) -> bool:
     """Whether a machine is in the normal form the index bijection covers.
 
     That is its shape's header exactly, with a nonempty input alphabet.
     """
-    try:
-        shape, _ = _shape_of(m)
-    except ValueError:
-        return False
-    return shape.sigma_size > 0 and shape.header == _header(m)
+    return _canonical_shape(m) is not None
 
 
 def encode(m: MachineDescription) -> int:
@@ -243,9 +262,10 @@ def encode(m: MachineDescription) -> int:
     """
     if not m.input_alphabet:
         raise ValueError("no index covers a machine with an empty input alphabet")
-    if not is_canonical(m):
+    canonical = _canonical_shape(m)
+    if canonical is None:
         raise ValueError("machine is not in canonical form; canonicalize it first")
-    shape, start = _shape_of(m)
+    shape, start = canonical
     if start is None:
         dims = (shape.states, shape.sigma_size, shape.extra_count)
         while dims not in _by_dims:

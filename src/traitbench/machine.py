@@ -51,6 +51,13 @@ entries, and a run pays a lookup, not the building of a frozen dataclass.
 Which outcomes are shared is not API; compare them by value. The memo holds
 at most that many outputs, each of at most fuel + len(input) + 1 symbols.
 
+A step finds its rule through `rule_index`, {(state, read symbol): i}
+with m.transitions[i] that pair's rule. A valid machine's sorted rules run
+over its working states times its sorted tape alphabet, so the index
+depends on the header alone, and machines with one header share one, from
+a bounded memo; `rule_map` is a read-only view made when read. A machine
+that has run keeps a reference to the index and no table of its own.
+
 The constructor validates every machine; `decode` assembles its own
 unchecked. Validation is one pass: the header (state count, roles,
 alphabets, blank), then the rules in order, then the table's totality, and
@@ -66,6 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from operator import eq
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 LEFT = "L"
@@ -96,24 +104,25 @@ class ParseError(MachineError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class _RuleMap:
-    """m.rule_map: the table as {(state, read symbol): (next state, written symbol, move)}, built on first read.
+class _RuleIndex:
+    """m.rule_index: {(state, read symbol): i} where m.transitions[i] is that pair's rule, read on first use.
 
-    A non-data descriptor: it stores the map as an instance attribute, which
-    then shadows it. It stores through object.__setattr__, not through the
-    instance __dict__ as functools.cached_property does: on CPython 3.11
-    reading __dict__ turns an object's inline attribute values into a real
-    dict, and every later field read of that machine is then slower. The map
-    is not built at construction, because most machines of an index sweep
-    never run.
+    The index comes from _shared_rule_index, so machines with one header
+    hold one dict. A non-data descriptor: it stores a reference to the index
+    as an instance attribute, which then shadows it. It stores through
+    object.__setattr__, not through the instance __dict__ as
+    functools.cached_property does: on CPython 3.11 reading __dict__ turns an
+    object's inline attribute values into a real dict, and every later field
+    read of that machine is then slower. The index is not read at
+    construction, because most machines of an index sweep never run.
     """
 
     def __get__(self, m: MachineDescription | None, owner: type | None = None):
         if m is None:
             return self
-        rules = {(q, s): (q2, w, mv) for q, s, q2, w, mv in m.transitions}
-        object.__setattr__(m, "rule_map", rules)
-        return rules
+        index = _shared_rule_index(m.state_count, m.accept_state, m.reject_state, m.tape_alphabet)
+        object.__setattr__(m, "rule_index", index)
+        return index
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,12 @@ class MachineDescription:
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
         _validate(self)
 
-    rule_map = _RuleMap()
+    rule_index = _RuleIndex()
+
+    @property
+    def rule_map(self) -> Mapping[tuple[int, str], tuple[int, str, str]]:
+        """The table as {(state, read symbol): (next state, written symbol, move)}, a read-only view made on each read."""
+        return MappingProxyType({(q, s): (q2, w, mv) for q, s, q2, w, mv in self.transitions})
 
     @property
     def halting_states(self) -> frozenset[int]:
@@ -154,6 +168,21 @@ class MachineDescription:
         """States that still take transitions, in ascending order."""
         halting = self.halting_states
         return (q for q in range(self.state_count) if q not in halting)
+
+
+# rule_index's memo, keyed by the four header fields the index depends on.
+# Like _shared_outcome's it is bounded, and few entries serve a sweep: 3
+# headers cover a 2,000-machine Blum sweep and 9 the 8,092 machines a
+# 4,000-index partition runs. An evicted header's machines keep their index,
+# and the next machine with it gets an equal one. An entry holds
+# (state_count - 2) * len(tape_alphabet) pairs.
+_INDICES_REMEMBERED = 64
+
+
+@lru_cache(maxsize=_INDICES_REMEMBERED)
+def _shared_rule_index(state_count: int, accept: int, reject: int, tape_alphabet: tuple[str, ...]) -> dict[tuple[int, str], int]:
+    working = (q for q in range(state_count) if q not in (accept, reject))
+    return {key: i for i, key in enumerate(product(working, sorted(tape_alphabet)))}
 
 
 def _validate(m: MachineDescription) -> None:
@@ -421,7 +450,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     state = m.start_state
     head = lo = hi = steps = 0
     halting = (m.accept_state, m.reject_state)
-    rules = m.rule_map
+    rules, index = m.transitions, m.rule_index
     blank = m.blank
     end = len(input_string)
     # Both certificate schedules start at step 1. A trace must hold every
@@ -490,7 +519,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
         if steps == next_snapshot:
             snapshot_state, snapshot_head, snapshot_tape = state, head, dict(tape)
             next_snapshot = 2 * steps
-        state, written, move = rules[(state, tape.get(head, blank))]
+        _, _, state, written, move = rules[index[state, tape.get(head, blank)]]
         if written == blank:
             tape.pop(head, None)
         else:

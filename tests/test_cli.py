@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -496,6 +497,20 @@ class TestContain:
         path.write_text(json.dumps(policy))
         assert main(["contain", "--machine", machine_file(echo), "--policy", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestBlumCheck:
+    def test_a_sweep_holds_one_decoded_machine_at_a_time(self, capsys):
+        # Held all at once, 20,000 decoded machines and their rules take
+        # about 24 MB; decoded as the sweep reaches them, under 1 MB.
+        tracemalloc.start()
+        try:
+            assert main(["blum-check", "--max-index", "20000", "--max-len", "0", "--fuel", "3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "checked=20000 violations=0\n"
+        assert peak < 4 * 2**20
 
 
 class TestReportDeterminism:

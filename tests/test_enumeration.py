@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from traitbench import enumeration, machine
 from traitbench.cli import main
 from traitbench.enumeration import decode, encode, index_set_bounded, is_canonical, pair, unpair
-from traitbench.machine import EquivKind, MachineDescription, MachineError, equiv_bounded
+from traitbench.machine import EquivKind, MachineDescription, MachineError, equiv_bounded, run
 from util import canonical_machines, random_canonical_machine
 
 
@@ -89,6 +90,29 @@ class TestDecode:
             for m in map(decode, range(5000))
         }
         assert shapes == {(3, 1, 2), (4, 1, 2)}
+
+    def test_machines_of_a_shape_share_their_rules(self):
+        # Indices one apart differ in their first digit only.
+        a, b = decode(71512), decode(71513)
+        common = [(ra, rb) for ra, rb in zip(a.transitions, b.transitions) if ra == rb]
+        assert len(common) == len(a.transitions) - 1
+        assert all(ra is rb for ra, rb in common)
+
+    def test_a_decoded_and_run_machine_holds_no_table_of_its_own(self):
+        # Over a window of the 5-state one-letter shape, a machine costs its
+        # object and its tuple of rules: its rule tuples are its shape's and
+        # its rule index its header's. Private tables cost about 1,800 B.
+        window = range(71512, 71512 + 5000 * 1999, 1999)
+        run(decode(window[0] + 1), "a", 50)
+        tracemalloc.start()
+        try:
+            machines = [decode(n) for n in window]
+            for m in machines:
+                run(m, "a", 50)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(machines) < 400
 
 
 def decoded_and_constructed(n):

@@ -30,8 +30,8 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
-from traitbench.transforms import pad
-from util import canonical_machines, machine_from_rules, reference_configs, reference_run, reference_validate, unvalidated_machine
+from traitbench.transforms import delay_inject, leaky_wrap, pad
+from util import canonical_machines, machine_from_rules, noncanonical_machines, reference_configs, reference_run, reference_validate, unvalidated_machine
 
 
 class TestRun:
@@ -128,7 +128,7 @@ class TestRun:
         assert outcome.steps <= fuel
 
     def test_a_machine_keeps_its_field_storage_after_its_first_run(self):
-        # The rule map is built once and kept, and storing it leaves the
+        # The rule index is read once and kept, and storing it leaves the
         # machine's attributes stored as before it ran. gc sees an object's
         # attribute values where CPython keeps them inline (3.11 on) and its
         # __dict__ otherwise, so the two machines show the same referents
@@ -136,17 +136,41 @@ class TestRun:
         # real dict.
         ran, fresh = decode(1234), decode(1234)
         run(ran, "a", 5)
-        rules = ran.rule_map
-        assert rules is ran.rule_map
-        assert rules == {(q, s): (q2, w, mv) for q, s, q2, w, mv in ran.transitions}
+        index = ran.rule_index
+        assert index is ran.rule_index
+        assert ran.rule_map == {(q, s): (q2, w, mv) for q, s, q2, w, mv in ran.transitions}
         assert ran == fresh and hash(ran) == hash(fresh)
-        stored = [type(r) for r in gc.get_referents(ran) if r is not rules]
+        stored = [type(r) for r in gc.get_referents(ran) if r is not index]
         assert stored == [type(r) for r in gc.get_referents(fresh)]
 
     def test_help_on_the_class_lists_the_rule_map(self):
-        # Read on the class, the descriptor returns itself and builds no map.
-        assert isinstance(MachineDescription.rule_map, machine._RuleMap)
-        assert "rule_map = <traitbench.machine._RuleMap object>" in pydoc.render_doc(MachineDescription, renderer=pydoc.plaintext)
+        # Read on the class, the descriptor returns itself and reads no index.
+        assert isinstance(MachineDescription.rule_index, machine._RuleIndex)
+        text = pydoc.render_doc(MachineDescription, renderer=pydoc.plaintext)
+        assert "rule_index = <traitbench.machine._RuleIndex object>" in text
+        assert "rule_map\n" in text
+
+    @given(st.one_of(
+        canonical_machines(),
+        noncanonical_machines(),
+        canonical_machines().map(lambda m: pad(m, 2)),
+        canonical_machines().map(lambda m: delay_inject(m, 4)),
+        canonical_machines().map(lambda m: leaky_wrap(m, "aa")),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_the_rule_index_finds_each_rule(self, m):
+        index = m.rule_index
+        assert len(index) == len(m.transitions)
+        for q in m.working_states():
+            for s in m.tape_alphabet:
+                assert m.transitions[index[q, s]][:2] == (q, s)
+
+    def test_machines_with_one_header_share_one_rule_index(self, echo):
+        a, b = decode(71512), decode(71512 + 123456)
+        assert a.transitions != b.transitions
+        assert a.rule_index is b.rule_index
+        assert pad(echo, 2).rule_index is pad(echo, 2).rule_index
+        assert echo.rule_index is not pad(echo, 2).rule_index
 
 
 class TestSharedOutcomes:
