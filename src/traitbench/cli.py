@@ -89,10 +89,11 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     m = _load_machine(args.machine)
-    rows = [
+    # Rendered as they are written, so the listing or report holds one chunk of tapes at a time.
+    rows = (
         {"step": i, "state": c.state, "head": c.head, "tape": render_tape(c, m.blank)}
         for i, c in enumerate(trace(m, args.input, args.fuel))
-    ]
+    )
     _emit(args, rows, ["step", "state", "head", "tape"])
     return 0
 

@@ -125,6 +125,30 @@ class ContainmentReport:
         return out
 
 
+def _scan(m: MachineDescription, classified: tuple[str, ...], sigma: str, fuel: int) -> tuple[list[TraceViolation], bool, str | None]:
+    """The trace violations of m's run on sigma, whether that run halted within the fuel, and its output.
+
+    The trace lives only in this call.
+    """
+    configs = trace(m, sigma, fuel)
+    leaks: list[TraceViolation] = []
+    pending = list(dict.fromkeys(classified))
+    for step, piece in _new_content(configs, max(map(len, classified)) - 1):
+        leaked = [chi for chi in pending if chi in piece]
+        if leaked:
+            rendering = render_tape(configs[step], m.blank)
+            leaks.extend(TraceViolation(sigma, step, chi, rendering) for chi in leaked)
+            pending = [chi for chi in pending if chi not in leaked]
+            if not pending:
+                break
+    # The trace ends on the halting configuration, or on the last one the
+    # fuel reached; its tape is the tape the run's output is read from.
+    last = configs[-1]
+    if last.state not in m.halting_states:
+        return leaks, False, None
+    return leaks, True, _classify_tape(m, last.tape)[0]
+
+
 def containment_check(
     m: MachineDescription,
     policy: ContainmentPolicy,
@@ -137,30 +161,18 @@ def containment_check(
     condition and every run halted within the fuel; an unresolved run leaves
     the verdict inconclusive since a longer trace could still leak. For each
     input, only the first leaking step per classified string is recorded.
+    Inputs are traced one at a time, and each trace is dropped before the
+    next is made, so the check holds one trace at a time.
     """
     trace_violations: list[TraceViolation] = []
     output_violations: list[OutputViolation] = []
     unresolved: list[str] = []
-    reach = max(map(len, policy.classified)) - 1
     for sigma in sorted(set(inputs)):
-        configs = trace(m, sigma, fuel)
-        pending = list(dict.fromkeys(policy.classified))
-        for step, piece in _new_content(configs, reach):
-            leaked = [chi for chi in pending if chi in piece]
-            if leaked:
-                rendering = render_tape(configs[step], m.blank)
-                trace_violations.extend(TraceViolation(sigma, step, chi, rendering) for chi in leaked)
-                pending = [chi for chi in pending if chi not in leaked]
-                if not pending:
-                    break
-        # The trace ends on the halting configuration, or on the last one the
-        # fuel reached; its tape is the tape the run's output is read from.
-        last = configs[-1]
-        if last.state not in m.halting_states:
+        leaks, halted, output = _scan(m, policy.classified, sigma, fuel)
+        trace_violations.extend(leaks)
+        if not halted:
             unresolved.append(sigma)
-            continue
-        output, _ = _classify_tape(m, last.tape)
-        if output is not None and not policy.unclassified(output):
+        elif output is not None and not policy.unclassified(output):
             output_violations.append(OutputViolation(sigma, output))
     if trace_violations or output_violations:
         verdict = ContainmentVerdict.VIOLATED

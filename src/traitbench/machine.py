@@ -36,14 +36,14 @@ cycler's jump would carry the scanned cells past the limit, where a stepping
 run stops, and a drifting run reaches the limit within the space graph's
 fuel anyway. `trace` still steps through every configuration.
 
-A trace holds each configuration's tape as a compact immutable snapshot:
-one string that is exactly the tape content, leftmost to rightmost
-non-blank cell with interior blanks included, and the cell it starts at,
-read as the Mapping of its non-blank cells. A step that changes no symbol
-shares its predecessor's snapshot, and one that does copies the string
-once, so a trace costs about a byte per cell per step, not a dict entry per
-cell. `_new_content` yields the piece of each step's content where a string
-can first appear, and `containment` scans only those pieces.
+A trace holds each configuration's tape as a compact immutable snapshot,
+read as the Mapping of its non-blank cells: a view of a list of cells that
+the trace's snapshots share, whose string is exactly the tape content. A
+step that changes no symbol shares its predecessor's snapshot, and one that
+widens or erases an end of the tape adds a view, not a copy, so a trace
+costs memory per step, not per cell per step (`_Snapshot` gives the worst
+case). `_new_content` yields the piece of each step's content where a
+string can first appear, and `containment` scans only those pieces.
 
 Most runs take a step or two, so a run's fixed cost is kept small: the
 engine hands out shared outcomes from a memo of _OUTCOMES_REMEMBERED
@@ -319,26 +319,46 @@ class Configuration:
 
 
 class _Snapshot(Mapping[int, str]):
-    """An immutable tape: its content in one string, trimmed of blanks at both ends.
+    """An immutable tape: the view [lo, hi) of a list of cells, trimmed of blanks at both ends.
 
     cells is exactly the tape content, from the leftmost to the rightmost
     non-blank cell with interior blanks included, and base is the leftmost
     non-blank cell (its value is left over from an earlier tape once cells
     is empty). As a Mapping the snapshot holds only the non-blank cells, as
     a dict tape does.
+
+    Snapshots of one trace share lists, entry i holding cell origin + i, and
+    no entry changes once written. A write past the right end appends when
+    the view ends at the list's end; one past the left end fills the None
+    room before the lowest written cell when the view starts there; an end
+    erase narrows the view. Any other write copies the view, with room as
+    wide as the content for a write past its left end, so either end grows
+    at O(1) per step, amortised. The worst case is a machine that rewrites
+    an interior cell each step: it copies its tape each step at 8 bytes a
+    cell, up to 8 times what a str per step costs.
     """
 
-    __slots__ = ("base", "cells", "blank")
+    __slots__ = ("buffer", "origin", "lo", "hi", "blank")
 
-    def __init__(self, base: int, cells: str, blank: str):
-        self.base = base
-        self.cells = cells
+    def __init__(self, buffer: list, origin: int, lo: int, hi: int, blank: str):
+        self.buffer = buffer
+        self.origin = origin
+        self.lo = lo
+        self.hi = hi
         self.blank = blank
 
+    @property
+    def base(self) -> int:
+        return self.origin + self.lo
+
+    @property
+    def cells(self) -> str:
+        return "".join(self.buffer[self.lo : self.hi])
+
     def __getitem__(self, cell: int) -> str:
-        i = cell - self.base
-        if 0 <= i < len(self.cells) and self.cells[i] != self.blank:
-            return self.cells[i]
+        i = cell - self.origin
+        if self.lo <= i < self.hi and self.buffer[i] != self.blank:
+            return self.buffer[i]
         raise KeyError(cell)
 
     def __iter__(self) -> Iterator[int]:
@@ -352,21 +372,39 @@ class _Snapshot(Mapping[int, str]):
 
     def write(self, cell: int, symbol: str) -> _Snapshot:
         """The tape after writing symbol at cell: self if that changes nothing, else a new snapshot."""
-        cells, blank, base = self.cells, self.blank, self.base
-        i = cell - base
-        if 0 <= i < len(cells):
-            if cells[i] == symbol:
+        buffer, origin, lo, hi, blank = self.buffer, self.origin, self.lo, self.hi, self.blank
+        i = cell - origin
+        if lo <= i < hi:
+            if buffer[i] == symbol:
                 return self
-            cells = cells[:i] + symbol + cells[i + 1:]
-        elif symbol == blank:
+            if symbol != blank or lo < i < hi - 1:
+                cells = buffer[lo:hi]
+                cells[i - lo] = symbol
+                return _Snapshot(cells, origin + lo, 0, len(cells), blank)
+            lo, hi = (i + 1, hi) if i == lo else (lo, i)
+            while lo < hi and buffer[lo] == blank:
+                lo += 1
+            while lo < hi and buffer[hi - 1] == blank:
+                hi -= 1
+            return _Snapshot(buffer, origin, lo, hi, blank)
+        if symbol == blank:
             return self
-        elif i < 0:
-            cells, base = symbol + blank * (-i - 1) + cells, cell
-        else:
-            cells += blank * (i - len(cells)) + symbol
-        # Only an erase, or a write to an empty tape, leaves blanks at an end.
-        trimmed = cells.lstrip(blank)
-        return _Snapshot(base + len(cells) - len(trimmed), trimmed.rstrip(blank), blank)
+        if lo == hi:
+            return _Snapshot([symbol], cell, 0, 1, blank)
+        if i >= hi:
+            cells = [blank] * (i - hi) + [symbol]
+            if hi < len(buffer):
+                cells[:0] = buffer[lo:hi]
+                return _Snapshot(cells, origin + lo, 0, len(cells), blank)
+            buffer += cells
+            return _Snapshot(buffer, origin, lo, i + 1, blank)
+        cells = [symbol] + [blank] * (lo - i - 1)
+        if i < 0 or buffer[lo - 1] is not None:
+            cells += buffer[lo:hi]
+            room = len(cells)
+            return _Snapshot([None] * room + cells, cell - room, room, 2 * room, blank)
+        buffer[i:lo] = cells
+        return _Snapshot(buffer, origin, i, hi, blank)
 
 
 def _new_content(configs: list[Configuration], reach: int) -> Iterator[tuple[int, str]]:
@@ -380,18 +418,31 @@ def _new_content(configs: list[Configuration], reach: int) -> Iterator[tuple[int
     a widening write exposes between it and the old end, so the piece is that
     stretch padded by reach cells. An end erase leaves the written cell
     outside the content, which only shrinks, and yields nothing.
+    Consecutive views of one list differ by an append, a prefix or a
+    narrowing, so one running string takes each change, and a piece is a
+    slice of it.
     """
     before = configs[0].tape
-    yield 0, before.cells
+    content = before.cells
+    yield 0, content
     for step, config in enumerate(configs):
         after = config.tape
         if after is not before:
-            cell, base, cells = configs[step - 1].head, after.base, after.cells
-            if base <= cell < base + len(cells):
+            buffer, lo, hi = after.buffer, after.lo, after.hi
+            if buffer is not before.buffer:
+                content = after.cells
+            elif lo == before.lo and hi > before.hi:
+                content += "".join(buffer[before.hi : hi])
+            elif lo < before.lo:
+                content = "".join(buffer[lo : before.lo]) + content
+            else:
+                content = content[lo - before.lo : hi - before.lo]
+            cell, base = configs[step - 1].head, after.base
+            if base <= cell < base + len(content):
                 # Bounds left over from an emptied before give a wider [a, b], never a narrower one.
-                a = min(cell, before.base + len(before.cells))
+                a = min(cell, before.origin + before.hi)
                 b = max(cell, before.base - 1)
-                yield step, cells[max(a - reach - base, 0) : b + reach + 1 - base]
+                yield step, content[max(a - reach - base, 0) : b + reach + 1 - base]
             before = after
 
 
@@ -466,7 +517,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     record_state = record_step = record_head = record_tape = record_right = None
     later_records: list[int] = []
     if configs is not None:
-        snapshot = _Snapshot(1, input_string, blank)
+        snapshot = _Snapshot(list(input_string), 1, 0, end, blank)
     while True:
         if configs is not None:
             configs.append(Configuration(state, head, snapshot))

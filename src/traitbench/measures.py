@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import pairwise, starmap
+from operator import lt
 from typing import Callable, Iterable, Mapping
 
 from .machine import (
@@ -159,12 +161,15 @@ def check_blum_axioms(
     may need up to pigeonhole_step_bound(m, 2) steps to halt, so a pair that
     exhausts a small fuel can still be reported against axiom 2 although its
     space cost is at most 2.
+
+    Machines are swept in ascending index order. A mapping whose keys already
+    ascend is walked as it comes, so a lazy one is not copied into a list.
     """
     if fuel <= _UNDEFINED_TOP:
         raise ValueError(f"the Blum check needs a fuel of at least {_UNDEFINED_TOP + 1}, more than any n it checks on an undefined pair; got {fuel}")
     violations: list[AxiomViolation] = []
     checked = 0
-    for index in sorted(machines):
+    for index in machines if all(starmap(lt, pairwise(machines))) else sorted(machines):
         m = machines[index]
         for sigma in inputs_for(m):
             checked += 1

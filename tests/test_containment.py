@@ -1,6 +1,7 @@
 """Containment policies: trace scanning and output classification."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from traitbench.containment import (
     ContainmentPolicy,
     ContainmentVerdict,
     OutputViolation,
+    TraceViolation,
     containment_check,
     load_policy,
     policy_from_dict,
@@ -132,6 +134,23 @@ class TestContainmentCheck:
         # contained under any policy its tape never spells out.
         report = containment_check(eraser, POLICY, INPUTS, fuel=200)
         assert report.verdict is ContainmentVerdict.CONTAINED
+
+    def test_runaway_writers_are_checked_one_trace_at_a_time(self):
+        # Each writer fills one more cell a step, and its trace costs about
+        # 230 B a step. Two traces alive at once would exceed the bound, as
+        # would a trace that copies its tape each step (200 MB each).
+        policy = ContainmentPolicy(classified=("bab",))
+        right = machine_from_rules("0 a -> 0 a R", "0 b -> 0 a R", "0 _ -> 0 a R", working=1)
+        left = machine_from_rules("0 a -> 0 a L", "0 b -> 0 b L", "0 _ -> 0 b L", working=1)
+        for m, leaks in ((right, ()), (left, (TraceViolation("ab", 1, "bab", "bab"),))):
+            tracemalloc.start()
+            try:
+                report = containment_check(m, policy, ["ab", "ba"], 20000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (report.trace_violations, report.output_violations, report.unresolved_inputs) == (leaks, (), ("ab", "ba"))
+            assert peak < 300 * 20000
 
 
 class TestOutcomesAgreeWithRun:

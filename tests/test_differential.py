@@ -14,7 +14,7 @@ which state it field by field without the enumeration's shapes.
 import dataclasses
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitbench.enumeration import decode, is_canonical
@@ -23,6 +23,7 @@ from traitbench.measures import space_measure
 from traitbench.transforms import canonicalize
 from util import (
     canonical_machines,
+    machine_from_rules,
     noncanonical_machines,
     reference_canonicalize,
     reference_classify,
@@ -67,6 +68,16 @@ def test_engine_agrees_with_the_reference_stepper(m, data, fuel):
 
 @given(canonical_machines(), st.integers(0, 20) | st.integers(21, 400))
 @settings(max_examples=200, deadline=None)
+# A left runaway that fills its list's room and outgrows it, one that leaves
+# gaps, the input erased from its left end and then written leftward from
+# an empty tape, the input erased from its right end, and a cell written
+# past a gap at either end and erased, so the view narrows past the gap.
+@example(machine_from_rules("0 a -> 0 a L", "0 b -> 0 b L", "0 _ -> 0 b L", working=1), 60)
+@example(machine_from_rules("0 _ -> 1 _ L", "1 _ -> 0 a L"), 60)
+@example(machine_from_rules("0 _ -> 1 _ R", "1 a -> 1 _ R", "1 b -> 1 _ R", "1 _ -> 2 _ L", "2 _ -> 2 b L"), 40)
+@example(machine_from_rules("0 _ -> 1 _ R", "1 a -> 1 a R", "1 b -> 1 b R", "1 _ -> 2 _ L", "2 a -> 2 _ L", "2 b -> 2 _ L"), 40)
+@example(machine_from_rules("0 _ -> 1 _ R", "1 a -> 1 a R", "1 b -> 1 b R", "1 _ -> 2 _ R", "2 _ -> 3 a L", "3 _ -> 4 _ R", "4 a -> 5 _ L", working=6), 40)
+@example(machine_from_rules("0 _ -> 1 _ L", "1 _ -> 2 a R", "2 _ -> 3 _ L", "3 a -> 4 _ R", working=5), 40)
 def test_trace_snapshots_hold_exactly_the_tape_content(m, fuel):
     for sigma in strings_up_to(m.input_alphabet, 2):
         for config, (_, _, tape) in zip(trace(m, sigma, fuel), reference_configs(m, sigma)):

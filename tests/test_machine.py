@@ -7,7 +7,7 @@ import string
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitbench import machine
@@ -368,13 +368,17 @@ class TestTrace:
         shared = [step for step in range(1, len(configs)) if configs[step].tape is configs[step - 1].tape]
         assert shared == [1, 3, 5, 7, 11]
 
-    def test_trace_memory_is_about_a_byte_per_cell_per_step(self, looper):
+    def test_trace_memory_grows_per_step_not_per_cell(self, looper):
         # A runaway writer fills one more cell each step, so a trace of fuel
-        # 2,000 holds about 2,000**2 / 2 cells: 2 MB as strings, 77 MB as dicts.
-        # The looper changes no symbol, so its 100,001 configurations share one
+        # 20,000 reads about 20,000**2 / 2 cells: 200 MB as a str per step,
+        # but its snapshots share one list, so it costs about 230 B a step,
+        # most of it the Configuration and the snapshot. The left writer's
+        # list is copied with room to spare whenever its room runs out. The
+        # looper changes no symbol, so its 100,001 configurations share one
         # tape and cost what a Configuration itself costs (13 MB without slots).
-        writer = machine_from_rules("0 a -> 0 a R", "0 b -> 0 a R", "0 _ -> 0 a R", working=1)
-        for m, fuel, bound in ((writer, 2000, 8 * 2**20), (looper, 100000, 11 * 2**20)):
+        right = machine_from_rules("0 a -> 0 a R", "0 b -> 0 a R", "0 _ -> 0 a R", working=1)
+        left = machine_from_rules("0 a -> 0 a L", "0 b -> 0 b L", "0 _ -> 0 b L", working=1)
+        for m, fuel, bound_per_step in ((right, 20000, 300), (left, 20000, 300), (looper, 100000, 110)):
             tracemalloc.start()
             try:
                 configs = trace(m, "ab", fuel)
@@ -382,7 +386,31 @@ class TestTrace:
             finally:
                 tracemalloc.stop()
             assert len(configs) == fuel + 1
-            assert peak < bound
+            assert peak < bound_per_step * fuel
+            del configs
+
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(-8, 10), st.sampled_from("ab_")), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @example([(0, 3, "a"), (0, 3, "b")])
+    @example([(0, 0, "a"), (1, -1, "b"), (1, -1, "a")])
+    def test_a_write_through_any_snapshot_changes_no_other(self, writes):
+        # Snapshots share their lists of cells. Each write goes through some
+        # earlier snapshot, often an older view: one that no longer ends at
+        # its list's end (the first example: cell 3 is written twice from
+        # the input's tape) or no longer starts at its lowest cell (the
+        # second: cell -1 is written twice from the tape that grew left to
+        # cell 0). Such a write must copy, so every snapshot keeps its tape.
+        tapes = [(trace(machine_from_rules(), "ab", 0)[0].tape, {1: "a", 2: "b"})]
+        for pick, cell, symbol in writes:
+            snapshot, tape = tapes[pick % len(tapes)]
+            tape = {c: s for c, s in {**tape, cell: symbol}.items() if s != "_"}
+            tapes.append((snapshot.write(cell, symbol), tape))
+            for snapshot, tape in tapes:
+                assert dict(snapshot) == tape
+                content = "".join(tape.get(c, "_") for c in range(min(tape), max(tape) + 1)) if tape else ""
+                assert snapshot.cells == content
+                if tape:
+                    assert snapshot.base == min(tape)
 
     def test_render_tape_shows_contiguous_nonblank_extent(self, eraser):
         configs = trace(eraser, "ab", 100)
