@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .machine import MachineDescription, _classify_tape, _new_content, render_tape, trace
+from .machine import MachineDescription, _classify_tape, _header, _new_content, render_tape, trace
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def _scan(m: MachineDescription, classified: tuple[str, ...], sigma: str, fuel: 
     last = configs[-1]
     if last.state not in m.halting_states:
         return leaks, False, None
-    return leaks, True, _classify_tape(m, last.tape)[0]
+    return leaks, True, _classify_tape(_header(m)[1], last.tape)[0]
 
 
 def containment_check(

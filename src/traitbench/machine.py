@@ -54,9 +54,10 @@ at most that many outputs, each of at most fuel + len(input) + 1 symbols.
 A step finds its rule through `rule_index`, {(state, read symbol): i}
 with m.transitions[i] that pair's rule. A valid machine's sorted rules run
 over its working states times its sorted tape alphabet, so the index
-depends on the header alone, and machines with one header share one, from
-a bounded memo; `rule_map` is a read-only view made when read. A machine
-that has run keeps a reference to the index and no table of its own.
+depends on the header alone. A bounded memo keyed on the header serves it,
+with the input letters as a set, to every machine with that header: a run
+looks both up once. `rule_index` and `rule_map` are read-only properties,
+and a machine stores nothing after construction but its eight fields.
 
 The constructor validates every machine; `decode` assembles its own
 unchecked. Validation is one pass: the header (state count, roles,
@@ -104,27 +105,6 @@ class ParseError(MachineError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class _RuleIndex:
-    """m.rule_index: {(state, read symbol): i} where m.transitions[i] is that pair's rule, read on first use.
-
-    The index comes from _shared_rule_index, so machines with one header
-    hold one dict. A non-data descriptor: it stores a reference to the index
-    as an instance attribute, which then shadows it. It stores through
-    object.__setattr__, not through the instance __dict__ as
-    functools.cached_property does: on CPython 3.11 reading __dict__ turns an
-    object's inline attribute values into a real dict, and every later field
-    read of that machine is then slower. The index is not read at
-    construction, because most machines of an index sweep never run.
-    """
-
-    def __get__(self, m: MachineDescription | None, owner: type | None = None):
-        if m is None:
-            return self
-        index = _shared_rule_index(m.state_count, m.accept_state, m.reject_state, m.tape_alphabet)
-        object.__setattr__(m, "rule_index", index)
-        return index
-
-
 @dataclass(frozen=True)
 class MachineDescription:
     """A complete machine: states, alphabets, and a total transition table.
@@ -153,7 +133,10 @@ class MachineDescription:
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
         _validate(self)
 
-    rule_index = _RuleIndex()
+    @property
+    def rule_index(self) -> dict[tuple[int, str], int]:
+        """{(state, read symbol): i} where transitions[i] is that pair's rule; one dict per header, not to be changed."""
+        return _header(self)[0]
 
     @property
     def rule_map(self) -> Mapping[tuple[int, str], tuple[int, str, str]]:
@@ -170,19 +153,24 @@ class MachineDescription:
         return (q for q in range(self.state_count) if q not in halting)
 
 
-# rule_index's memo, keyed by the four header fields the index depends on.
-# Like _shared_outcome's it is bounded, and few entries serve a sweep: 3
-# headers cover a 2,000-machine Blum sweep and 9 the 8,092 machines a
-# 4,000-index partition runs. An evicted header's machines keep their index,
-# and the next machine with it gets an equal one. An entry holds
-# (state_count - 2) * len(tape_alphabet) pairs.
+# The engine's memo per header: the rule index and the set of input letters,
+# keyed by the five header fields they depend on. Like _shared_outcome's it is
+# bounded, and few entries serve a sweep: 3 headers cover a 2,000-machine
+# Blum sweep and 9 the 8,092 machines a 4,000-index partition runs. An
+# evicted header gets an equal entry on its next run. An entry holds
+# (state_count - 2) * len(tape_alphabet) pairs and the input letters.
 _INDICES_REMEMBERED = 64
 
 
 @lru_cache(maxsize=_INDICES_REMEMBERED)
-def _shared_rule_index(state_count: int, accept: int, reject: int, tape_alphabet: tuple[str, ...]) -> dict[tuple[int, str], int]:
+def _header_tables(state_count: int, accept: int, reject: int, input_alphabet: tuple[str, ...], tape_alphabet: tuple[str, ...]) -> tuple[dict[tuple[int, str], int], frozenset[str]]:
     working = (q for q in range(state_count) if q not in (accept, reject))
-    return {key: i for i, key in enumerate(product(working, sorted(tape_alphabet)))}
+    return {key: i for i, key in enumerate(product(working, sorted(tape_alphabet)))}, frozenset(input_alphabet)
+
+
+def _header(m: MachineDescription) -> tuple[dict[tuple[int, str], int], frozenset[str]]:
+    """m's rule index and input letters, shared by every machine with m's header."""
+    return _header_tables(m.state_count, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet)
 
 
 def _validate(m: MachineDescription) -> None:
@@ -446,17 +434,18 @@ def _new_content(configs: list[Configuration], reach: int) -> Iterator[tuple[int
             before = after
 
 
-def _check_input(m: MachineDescription, input_string: str) -> None:
+def _check_input(letters: frozenset[str], input_string: str) -> None:
     for sym in input_string:
-        if sym not in m.input_alphabet:
+        if sym not in letters:
             raise MachineError(f"input symbol {sym!r} is not in the input alphabet")
 
 
-def _classify_tape(m: MachineDescription, tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
+def _classify_tape(letters: frozenset[str], tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
+    """The output of a halt on tape and, if it is undefined, why; letters are the machine's input letters."""
     if not tape:
         return None, UndefinedReason.BLANK_TAPE
     content = "".join(map(tape.__getitem__, sorted(tape)))
-    if not set(m.input_alphabet).issuperset(content):
+    if not letters.issuperset(content):
         return None, UndefinedReason.NON_INPUT_SYMBOL
     return content, None
 
@@ -496,12 +485,13 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     """
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
-    _check_input(m, input_string)
+    index, letters = _header(m)
+    _check_input(letters, input_string)
     tape = dict(enumerate(input_string, 1))
     state = m.start_state
     head = lo = hi = steps = 0
     halting = (m.accept_state, m.reject_state)
-    rules, index = m.transitions, m.rule_index
+    rules = m.transitions
     blank = m.blank
     end = len(input_string)
     # Both certificate schedules start at step 1. A trace must hold every
@@ -522,7 +512,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
         if configs is not None:
             configs.append(Configuration(state, head, snapshot))
         if state in halting:
-            output, reason = _classify_tape(m, tape)
+            output, reason = _classify_tape(letters, tape)
             return _shared_outcome(_HALTED_UNDEFINED if output is None else _HALTED_OUTPUT, steps, hi - lo + 1, output, reason)
         if steps >= fuel:
             break
@@ -608,6 +598,8 @@ def render_tape(config: Configuration, blank: str = BLANK) -> str:
 
 def strings_up_to(alphabet: Iterable[str], max_len: int) -> Iterator[str]:
     """All strings over the alphabet up to max_len, shortest first, then lexicographic."""
+    if max_len < 0:
+        raise MachineError("max_len must be nonnegative")
     symbols = sorted(alphabet)
     for length in range(max_len + 1):
         for combo in product(symbols, repeat=length):

@@ -100,7 +100,11 @@ def write_report(
     # exclusively, so that the name is this call's alone.
     target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-    out = open(temp, "x", encoding="utf-8")
+    try:
+        out = open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        # The temporary name is not the user's: name the report instead.
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with out:
             out.writelines(chunks)

@@ -92,6 +92,14 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "--format applies only" in capsys.readouterr().err
 
+    def test_an_unwritable_report_names_the_report(self, machine_file, echo, tmp_path, capsys):
+        # The report is written to a temporary file beside it, which the
+        # user never named; the error names the report.
+        out = tmp_path / "no" / "such" / "dir" / "r.csv"
+        assert main(["run", "--machine", machine_file(echo), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "r.csv" in err and ".tmp" not in err
+
     def test_domain_error_inside_a_command_exits_one(self, machine_file, echo, capsys):
         path = machine_file(echo)
         assert main(["delay", "--machine", path, "--d", "3", "--out", path + ".out"]) == 1

@@ -1,6 +1,6 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
-import gc
+import pickle
 import pydoc
 import re
 import string
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitbench import machine
-from traitbench.enumeration import decode, encode
+from traitbench.enumeration import decode, encode, index_set_bounded
 from traitbench.fixtures import FIXTURE_NAMES, all_fixtures, load_fixture
 from traitbench.machine import (
     Configuration,
@@ -30,6 +30,7 @@ from traitbench.machine import (
     strings_up_to,
     trace,
 )
+from traitbench.measures import parse_bound, time_measure, usage_within_bound
 from traitbench.transforms import delay_inject, leaky_wrap, pad
 from util import canonical_machines, machine_from_rules, noncanonical_machines, reference_configs, reference_run, reference_validate, unvalidated_machine
 
@@ -128,27 +129,24 @@ class TestRun:
         assert outcome.steps <= fuel
 
     def test_a_machine_keeps_its_field_storage_after_its_first_run(self):
-        # The rule index is read once and kept, and storing it leaves the
-        # machine's attributes stored as before it ran. gc sees an object's
-        # attribute values where CPython keeps them inline (3.11 on) and its
-        # __dict__ otherwise, so the two machines show the same referents
-        # either way, unless the first run turned the inline values into a
-        # real dict.
-        ran, fresh = decode(1234), decode(1234)
+        # A run reads the rule index from its header's memo and writes
+        # nothing to the machine, so it pickles as it did before, and a copy
+        # made from the pickle finds the index every machine of its header
+        # shares.
+        ran = decode(100000)
+        fields, pickled = dict(vars(ran)), pickle.dumps(ran)
         run(ran, "a", 5)
-        index = ran.rule_index
-        assert index is ran.rule_index
+        assert vars(ran) == fields and pickle.dumps(ran) == pickled
+        copy = pickle.loads(pickled)
+        assert copy == ran
+        assert copy.rule_index is ran.rule_index is decode(100000 + 1).rule_index
         assert ran.rule_map == {(q, s): (q2, w, mv) for q, s, q2, w, mv in ran.transitions}
-        assert ran == fresh and hash(ran) == hash(fresh)
-        stored = [type(r) for r in gc.get_referents(ran) if r is not index]
-        assert stored == [type(r) for r in gc.get_referents(fresh)]
 
     def test_help_on_the_class_lists_the_rule_map(self):
-        # Read on the class, the descriptor returns itself and reads no index.
-        assert isinstance(MachineDescription.rule_index, machine._RuleIndex)
+        # Both tables are read-only properties, listed with their docstrings.
         text = pydoc.render_doc(MachineDescription, renderer=pydoc.plaintext)
-        assert "rule_index = <traitbench.machine._RuleIndex object>" in text
-        assert "rule_map\n" in text
+        properties = text[text.index("Readonly properties defined here:"):]
+        assert "rule_index\n" in properties and "rule_map\n" in properties
 
     @given(st.one_of(
         canonical_machines(),
@@ -171,6 +169,21 @@ class TestRun:
         assert a.rule_index is b.rule_index
         assert pad(echo, 2).rule_index is pad(echo, 2).rule_index
         assert echo.rule_index is not pad(echo, 2).rule_index
+
+    def test_runs_stay_exact_once_the_header_memo_evicts(self, echo):
+        # Each pad adds a state, so the 70 machines have 70 headers, more
+        # than the memo holds; the second round finds every one evicted.
+        machines = [pad(echo, k) for k in range(1, 71)]
+        assert len(machines) > machine._INDICES_REMEMBERED
+        for _ in range(2):
+            for m in machines:
+                for sigma in strings_up_to(m.input_alphabet, 2):
+                    _, kind, steps, space, output, reason = reference_run(m, sigma, 20)
+                    outcome = run(m, sigma, 20)
+                    assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (kind, steps, space, output, reason)
+                index = m.rule_index
+                assert all(m.transitions[index[q, s]][:2] == (q, s) for q, s, *_ in m.transitions)
+        assert machine._header_tables.cache_info().currsize <= machine._INDICES_REMEMBERED
 
 
 class TestSharedOutcomes:
@@ -432,6 +445,23 @@ class TestStringsUpTo:
 
     def test_single_letter_alphabet(self):
         assert list(strings_up_to(("a",), 3)) == ["", "a", "aa", "aaa"]
+
+    def test_a_negative_max_len_is_refused_before_any_run(self, echo, monkeypatch):
+        # Every sweep draws its inputs from strings_up_to, so each refuses a
+        # negative max_len as run refuses a negative fuel, not answering over
+        # zero inputs.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was made")
+
+        monkeypatch.setattr(machine, "_simulate", no_run)
+        sweeps = [
+            lambda: equiv_bounded(echo, echo, -1, 10),
+            lambda: index_set_bounded(decode(48), 300, -1, 10),
+            lambda: usage_within_bound(echo, time_measure(), parse_bound("n"), -1, 10),
+        ]
+        for sweep in sweeps:
+            with pytest.raises(MachineError, match="max_len must be nonnegative"):
+                sweep()
 
 
 class TestEquivBounded:
