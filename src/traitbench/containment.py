@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .machine import MachineDescription, _classify_tape, _header, _new_content, render_tape, trace
+from .machine import MachineDescription, _classify_tape, _new_content, _tables, render_tape, trace
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,10 @@ def policy_from_dict(data: dict) -> ContainmentPolicy:
     """Build a policy from {"classified": [...], "unclassified_regex": "..."}.
 
     "classified" must be a list of nonempty strings; the optional regex must
-    be a string that compiles. Anything else raises ValueError. Without a
-    regex, a string is unclassified exactly when it contains no classified
-    string as a substring.
+    be a string that compiles. Anything else raises ValueError, a regex
+    nested too deeply to compile included. Without a regex, a string is
+    unclassified exactly when it contains no classified string as a
+    substring.
     """
     listed = data.get("classified") if isinstance(data, dict) else None
     if not isinstance(listed, list) or not all(isinstance(chi, str) for chi in listed):
@@ -73,11 +74,19 @@ def policy_from_dict(data: dict) -> ContainmentPolicy:
         compiled = re.compile(pattern)
     except (re.error, TypeError) as exc:
         raise ValueError(f"unclassified_regex {pattern!r} is not a valid regular expression: {exc}") from None
+    except RecursionError:
+        raise ValueError("unclassified_regex nests too deeply to compile") from None
     return ContainmentPolicy(classified, lambda s: compiled.fullmatch(s) is not None)
 
 
 def load_policy(path: str | Path) -> ContainmentPolicy:
-    return policy_from_dict(json.loads(Path(path).read_text("utf-8")))
+    """The policy in a JSON file, as policy_from_dict reads it; every ValueError names the file."""
+    try:
+        return policy_from_dict(json.loads(Path(path).read_text("utf-8")))
+    except RecursionError:
+        raise ValueError(f"policy {path}: the JSON nests too deeply to read") from None
+    except ValueError as exc:
+        raise ValueError(f"policy {path}: {exc}") from None
 
 
 class ContainmentVerdict(str, Enum):
@@ -146,7 +155,7 @@ def _scan(m: MachineDescription, classified: tuple[str, ...], sigma: str, fuel: 
     last = configs[-1]
     if last.state not in m.halting_states:
         return leaks, False, None
-    return leaks, True, _classify_tape(_header(m)[1], last.tape)[0]
+    return leaks, True, _classify_tape(_tables(m)[1], last.tape)[0]
 
 
 def containment_check(

@@ -6,9 +6,10 @@ their states out as start = 0, accept = second-to-last, reject = last. Under
 that normal form a machine is exactly a shape (state count, input alphabet
 size, extra tape symbol count) plus a transition table, and the tables of a
 given shape number 0 .. (s*g*2)^((s-2)*g) - 1 when read as base s*g*2
-numerals with one digit per (state, symbol) pair in row-major order (g is
-the tape alphabet size; the digit packs next state, written symbol rank, and
-move direction, in that significance order, with L before R).
+numerals with one digit per (state, symbol) pair in row-major order, the
+first pair's digit least significant (g is the tape alphabet size; the
+digit packs next state, written symbol rank, and move direction, in that
+significance order, with L before R).
 
 Shapes themselves are numbered through the Cantor triple code
 pair(states - 3, pair(sigma - 1, extras)); codes whose alphabets exceed the
@@ -17,24 +18,23 @@ the table capacities of all earlier shapes plus its own table numeral, which
 makes decode total and encode its exact inverse: every natural denotes one
 canonical machine and every canonical machine has one index.
 
-Each shape computes its layout once and keeps its tables: `actions[digit]`
-is the (next state, written symbol, move) a digit packs, `keys[i]` the
-(state, read symbol) pair digit i encodes, and `choices[i][digit]` the rule
-they make together; `digit_of` and `position` invert the first two. decode
-peels one digit per key with divmod and takes its rule from `choices`, so
-every machine of a shape shares its rule tuples; encode places each rule's
-digit by table lookup and folds the digits with Horner's rule. A shape's
-header alone is the normal form: decode and canonicalize build from it,
-is_canonical compares with it, and encode looks the shape up once through
-the helper is_canonical asks.
+Each shape computes its table once: `choices[i][digit]` is the rule digit
+i stands for when it holds digit, and `weight` takes each of those rules to
+digit * radix**i. decode peels one digit per row of `choices` with divmod
+and takes its rule from the row, so every machine of a shape shares its
+rule tuples; encode sums `weight` over a machine's rules, as a numeral is
+the sum of its digits' place values. A shape's header alone is the normal
+form: decode and canonicalize build from it, is_canonical compares with
+it, and encode looks the shape up once through the helper is_canonical
+asks.
 
 decode assembles its machine without the public constructor, which would
 only re-check what the shape guarantees: the header is the shape's, every
-key gets one rule, and every action is one of the shape's. It sets the
-fields in the constructor's order and puts the rules in sorted order
-through a permutation each shape computes once, so its machines equal, and
-hash as, those the constructor builds. `enumerate --validate` validates
-each decoded machine itself.
+(state, read symbol) pair gets one rule, and every rule is one of the
+shape's. It sets the fields in the constructor's order and puts the rules
+in sorted order through a permutation each shape computes once, so its
+machines equal, and hash as, those the constructor builds. `enumerate
+--validate` validates each decoded machine itself.
 """
 
 from __future__ import annotations
@@ -118,26 +118,8 @@ class _Shape:
         return self.radix ** self.digit_count
 
     @cached_property
-    def actions(self) -> tuple[tuple[int, str, str], ...]:
-        """actions[digit]: the (next state, written symbol, move) the digit packs."""
-        return tuple(product(range(self.states), self.gamma, (LEFT, RIGHT)))
-
-    @cached_property
-    def digit_of(self) -> dict[tuple[int, str, str], int]:
-        return {action: digit for digit, action in enumerate(self.actions)}
-
-    @cached_property
-    def keys(self) -> tuple[tuple[int, str], ...]:
-        """keys[i]: the (state, read symbol) pair whose rule digit i encodes."""
-        return tuple(product(range(self.states - 2), self.gamma))
-
-    @cached_property
-    def position(self) -> dict[tuple[int, str], int]:
-        return {key: i for i, key in enumerate(self.keys)}
-
-    @cached_property
     def choices(self) -> tuple[tuple[Rule, ...], ...]:
-        """choices[i][digit]: the rule keys[i] + actions[digit], which digit i stands for when it holds digit.
+        """choices[i][digit]: the rule digit i stands for when it holds digit, with rows in row-major (state, read symbol) order.
 
         Every machine decode assembles from this shape holds these rule
         tuples, not copies. The table holds digit_count * radix rules: 120
@@ -145,18 +127,25 @@ class _Shape:
         from 71,512 to 64,071,511, and 42,336 for 8 states with 10 input
         letters and 10 extras.
         """
-        return tuple(tuple(key + action for action in self.actions) for key in self.keys)
+        actions = tuple(product(range(self.states), self.gamma, (LEFT, RIGHT)))
+        return tuple(tuple(key + action for action in actions) for key in product(range(self.states - 2), self.gamma))
+
+    @cached_property
+    def weight(self) -> dict[Rule, int]:
+        """weight[rule]: digit * radix**i, where choices[i][digit] is rule; about 5.5 MB for the 42,336-rule shape."""
+        radix = self.radix
+        return {rule: digit * radix**i for i, row in enumerate(self.choices) for digit, rule in enumerate(row)}
 
     @cached_property
     def in_sorted_order(self) -> itemgetter:
-        """Takes rules in key order to the tuple of them in sorted order.
+        """Takes rules in row order to the tuple of them in sorted order.
 
-        keys are in symbol order, and sorted order puts the uppercase extras
+        Rows are in symbol order, and sorted order puts the uppercase extras
         before the blank and the blank before the lowercase letters. A shape
-        the walk holds has at least two keys (a working state reading a
+        the walk holds has at least two rows (a working state reading a
         letter or the blank), so the getter returns a tuple.
         """
-        return itemgetter(*sorted(range(self.digit_count), key=self.keys.__getitem__))
+        return itemgetter(*sorted(range(self.digit_count), key=self.choices.__getitem__))
 
 
 # Valid shapes in code order with their first global index, grown on demand,
@@ -271,15 +260,7 @@ def encode(m: MachineDescription) -> int:
         while dims not in _by_dims:
             _extend_walk()
         shape, start = _by_dims[dims]
-    position, digit_of = shape.position, shape.digit_of
-    digits = [0] * shape.digit_count
-    for q, s, q2, w, mv in m.transitions:
-        digits[position[q, s]] = digit_of[q2, w, mv]
-    radix = shape.radix
-    table = 0
-    for digit in reversed(digits):
-        table = table * radix + digit
-    return start + table
+    return start + sum(map(shape.weight.__getitem__, m.transitions))
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ class MachineDescription:
     @property
     def rule_index(self) -> dict[tuple[int, str], int]:
         """{(state, read symbol): i} where transitions[i] is that pair's rule; one dict per header, not to be changed."""
-        return _header(self)[0]
+        return _tables(self)[0]
 
     @property
     def rule_map(self) -> Mapping[tuple[int, str], tuple[int, str, str]]:
@@ -168,7 +168,7 @@ def _header_tables(state_count: int, accept: int, reject: int, input_alphabet: t
     return {key: i for i, key in enumerate(product(working, sorted(tape_alphabet)))}, frozenset(input_alphabet)
 
 
-def _header(m: MachineDescription) -> tuple[dict[tuple[int, str], int], frozenset[str]]:
+def _tables(m: MachineDescription) -> tuple[dict[tuple[int, str], int], frozenset[str]]:
     """m's rule index and input letters, shared by every machine with m's header."""
     return _header_tables(m.state_count, m.accept_state, m.reject_state, m.input_alphabet, m.tape_alphabet)
 
@@ -485,7 +485,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     """
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
-    index, letters = _header(m)
+    index, letters = _tables(m)
     _check_input(letters, input_string)
     tape = dict(enumerate(input_string, 1))
     state = m.start_state

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, printed verdicts, report files."""
 
+import argparse
 import contextlib
 import json
 import os
@@ -9,12 +10,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import traitbench
-from traitbench.cli import main
+from traitbench.cli import _MODES, _REWRITES, build_parser, main
 from traitbench.enumeration import decode
 from traitbench.machine import equiv_bounded, format_machine, parse_machine
-from util import MALFORMED_BOUNDS
+from traitbench.measures import MEASURES
+from traitbench.transforms import pad
+from util import MALFORMED_BOUNDS, NESTED_ARRAYS_TEXT, NESTED_REGEX_POLICY
 
 
 @pytest.fixture
@@ -514,13 +519,22 @@ class TestContain:
 
     @pytest.mark.parametrize(
         "policy",
-        [{"unclassified_regex": "a*"}, {"classified": "bb"}, {"classified": [1]}, {"classified": ["bb"], "unclassified_regex": "("}],
+        [
+            {"unclassified_regex": "a*"},
+            {"classified": "bb"},
+            {"classified": [1]},
+            {"classified": ["bb"], "unclassified_regex": "("},
+            NESTED_REGEX_POLICY,
+            pytest.param(NESTED_ARRAYS_TEXT, id="policy5"),
+        ],
     )
     def test_invalid_policy_exits_one(self, machine_file, echo, tmp_path, policy, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(policy))
+        path.write_text(policy if isinstance(policy, str) else json.dumps(policy))
         assert main(["contain", "--machine", machine_file(echo), "--policy", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: policy {path}: ")
+        assert len(err) < 200
 
 
 class TestBlumCheck:
@@ -564,3 +578,121 @@ class TestReportDeterminism:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-m", "traitbench.cli", "--version"], capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout) == (0, f"traitbench {traitbench.__version__}\n")
+
+
+# The command-line fuzz: every subcommand and every mode, with small sizes,
+# over a fixed set of valid and malformed input files and texts. File names
+# stand for files under the test's temporary directory; "missing" ones are
+# never written.
+FUZZ_FILES = {
+    "echo.tm": format_machine(traitbench.fixtures.echo()),
+    "looper.tm": format_machine(traitbench.fixtures.looper()),
+    "padded.tm": format_machine(pad(traitbench.fixtures.echo(), 1)),
+    "halting-start.tm": "states: 3\nstart: 1 accept: 1 reject: 2\ninput_alphabet: a\ntape_alphabet: a_\ndelta: 0 a -> 1 a R\ndelta: 0 _ -> 1 _ R\n",
+    "banana.tm": "states: banana\n",
+    "empty.tm": "",
+    "bb.json": json.dumps({"classified": ["bb"]}),
+    "regex.json": json.dumps({"classified": ["bb", "ab"], "unclassified_regex": "a*"}),
+    "list.json": json.dumps(["bb"]),
+    "empty.json": "",
+    "nested-regex.json": json.dumps(NESTED_REGEX_POLICY),
+    "nested-arrays.json": NESTED_ARRAYS_TEXT,
+}
+FUZZ_PATHS = {*FUZZ_FILES, "missing.tm", "missing.json", "out.report", "receipts.json"}
+
+_machines = st.sampled_from(["echo.tm", "looper.tm", "padded.tm", "halting-start.tm", "banana.tm", "empty.tm", "missing.tm"])
+_policies = st.sampled_from(["bb.json", "regex.json", "list.json", "empty.json", "nested-regex.json", "nested-arrays.json", "missing.json"])
+_traits = st.sampled_from([
+    "states:3", "echoes", "and(states:3,echoes)", "or(time-within:n+1,not(total-nonempty:2:50))",
+    "time-within:table:3,4,5;default=7", "", "and(", "states:", "frob:1", "not(" * 200 + "echoes" + ")" * 200,
+])
+_bounds = st.sampled_from(["n+5", "2n+3", "7", "table:1,2;default=9", "n@n", *(text for text, _ in MALFORMED_BOUNDS)])
+_malformed = st.sampled_from(["-1", "x", "", "+5", "1_0", "٣"])
+
+
+def _count(top: int):
+    """A count flag's value: up to top, or now and then one argparse must refuse."""
+    return st.integers(0, 9).flatmap(lambda r: _malformed if r == 0 else st.integers(0, top).map(str))
+
+
+def _one(values):
+    return values.map(lambda value: [value])
+
+
+# Per flag, the tokens that follow it; a switch has none.
+FUZZ_VALUES = {
+    "machine": _one(_machines), "other": _one(_machines), "reference": _one(_machines), "policy": _one(_policies),
+    "name": _one(_traits), "xi": _one(_bounds), "measure": _one(st.sampled_from([*MEASURES, "nope"])),
+    "input": _one(st.sampled_from(["", "a", "ab", "ba", "z", "_"])), "inputs": _one(st.sampled_from(["", "ab,,ba", "a,b", "z"])),
+    "chi": _one(st.sampled_from(["bb", "ab", "", "z", "_"])), "l1": _one(st.sampled_from(["1,3,5", "", "x", "1,,2"])),
+    "l2": _one(st.sampled_from(["3,4", "", "-1"])), "fuel": _one(_count(50)), "max_len": _one(_count(2)),
+    "max_index": _one(_count(30)), "max": _one(_count(30)), "probes": _one(_count(2)), "trials": _one(_count(2)),
+    "k": _one(_count(3)), "d": _one(_count(4)), "universe_max": _one(_count(10)),
+    "show": _one(_count(10**12)), "unpair": _one(_count(10**12)), "pair": st.tuples(_count(99), _count(99)).map(list),
+    "graph": _one(st.integers(-3, 50).map(str)), "validate": st.just([]), "discriminate": st.just([]),
+    "out": st.just(["out.report"]), "format": _one(st.sampled_from(["csv", "jsonl", "xml"])), "receipts": st.just(["receipts.json"]),
+}
+
+# Per command without modes: the flags it always gets, then those it gets now and then.
+FUZZ_COMMANDS = {
+    "run": (("machine", "fuel"), ("input", "out", "format")),
+    "trace": (("machine", "fuel"), ("input", "out", "format")),
+    "equiv": (("machine", "other", "max_len", "fuel"), ("out", "format")),
+    "canonicalize": (("machine", "out"), ()),
+    "blum-check": (("max_index", "max_len", "fuel"), ("measure", "out", "format")),
+    "trait": (("name", "machine", "max_len", "fuel"), ()),
+    "partition": (("name", "max_index", "probes", "max_len", "fuel"), ("out", "format")),
+    "patch-decider": (("l1", "l2", "universe_max"), ("out", "format")),
+    "prop3": (("max_index", "max_len", "fuel"), ("out", "format")),
+}
+FUZZ_COMMANDS.update({command: (("machine", flag, "out"), ("receipts",)) for command, (_, flag, *_) in _REWRITES.items()})
+_MODE_REQUIRED = {"measure": ("machine",), "contain": ("machine", "policy", "fuel")}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command line of any subcommand, in any of its modes, with some flags it does not read."""
+    command = draw(st.sampled_from(sorted([*FUZZ_COMMANDS, *_MODES])))
+    if command in FUZZ_COMMANDS:
+        always, optional = FUZZ_COMMANDS[command]
+        flags = [*always, *(flag for flag in optional if draw(st.booleans()))]
+    else:
+        defaults, modes = _MODES[command]
+        mode = draw(st.sampled_from(sorted(modes)))
+        reads, writes_report = modes[mode]
+        unread = [flag for flag in defaults if flag not in reads] + ([] if writes_report else ["out", "format"])
+        stray = [flag for flag in unread if draw(st.integers(0, 3)) == 0]
+        report = ["out", "format"][: draw(st.integers(0, 2))] if writes_report else []
+        flags = [*_MODE_REQUIRED.get(command, ()), *reads, *report, *stray]
+        if mode in FUZZ_VALUES and (mode != list(modes)[-1] or draw(st.booleans())):
+            flags.append(mode)
+    argv = [command]
+    for flag in dict.fromkeys(flags):
+        argv += [_flag(flag), *draw(FUZZ_VALUES[flag])]
+    return argv
+
+
+class TestCommandTable:
+    def test_the_fuzz_covers_every_subcommand(self):
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert {*FUZZ_COMMANDS, *_MODES} == set(commands)
+
+    @example(argv=["contain", "--machine", "echo.tm", "--policy", "nested-regex.json", "--fuel", "5"])
+    @example(argv=["contain", "--machine", "echo.tm", "--policy", "nested-arrays.json", "--fuel", "5"])
+    @given(argv=command_lines())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_command_line_exits_zero_one_or_two(self, argv, tmp_path):
+        for name, text in FUZZ_FILES.items():
+            if not (tmp_path / name).exists():
+                (tmp_path / name).write_text(text, "utf-8")
+        argv = [str(tmp_path / token) if token in FUZZ_PATHS else token for token in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 1)

@@ -8,16 +8,20 @@ the engine's divergence certificates check the fast-forwarded outcomes.
 Validation is checked the same way, against `util.reference_validate`, an
 independent copy of every check kept apart from the engine's, and the normal
 form against `util.reference_canonicalize` and `util.reference_is_canonical`,
-which state it field by field without the enumeration's shapes.
+which state it field by field without the enumeration's shapes. The index
+bijection is checked against `util.reference_index` and
+`util.reference_machine`, which number machines as the enumeration module's
+docstring defines, with powers of the radix in place of its shapes' tables.
 """
 
 import dataclasses
+import itertools
 import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from traitbench.enumeration import decode, is_canonical
+from traitbench.enumeration import decode, encode, is_canonical
 from traitbench.machine import MachineDescription, MachineError, RunKind, RunOutcome, _simulate, run, strings_up_to, trace
 from traitbench.measures import space_measure
 from traitbench.transforms import canonicalize
@@ -28,8 +32,11 @@ from util import (
     reference_canonicalize,
     reference_classify,
     reference_configs,
+    reference_index,
     reference_is_canonical,
+    reference_machine,
     reference_run,
+    reference_shapes,
     validation_fault,
 )
 
@@ -211,3 +218,32 @@ def test_normal_form_agrees_with_the_reference(m):
     assert is_canonical(m) == reference_is_canonical(m)
     if isinstance(twin, MachineDescription):
         assert is_canonical(twin) == reference_is_canonical(twin)
+
+
+def assert_numbered_as_the_reference(n):
+    m = decode(n)
+    assert m == reference_machine(n)
+    assert reference_index(m) == n
+    assert encode(reference_machine(n)) == n
+
+
+def test_each_shape_begins_and_ends_where_the_reference_numbering_does():
+    for _, start, capacity in itertools.islice(reference_shapes(), 12):
+        assert_numbered_as_the_reference(start)
+        assert_numbered_as_the_reference(start + capacity - 1)
+
+
+def test_stratified_indices_are_numbered_as_the_reference():
+    # One index in each of 300 strata of [0, 10^7), across the first four shapes.
+    rng = random.Random(29)
+    stratum = 10**7 // 300
+    for k in range(300):
+        assert_numbered_as_the_reference(k * stratum + rng.randrange(stratum))
+
+
+@given(canonical_machines(max_states=8, max_sigma=10, max_extras=10))
+@settings(max_examples=100, deadline=None)
+def test_encode_numbers_machines_as_the_reference(m):
+    n = encode(m)
+    assert n == reference_index(m)
+    assert reference_machine(n) == m

@@ -1,10 +1,11 @@
-"""Shared helpers for the test suite: seeded machine generators, a reference stepper, the reference normal form and a reference report renderer."""
+"""Shared helpers for the test suite: seeded machine generators, a reference stepper, the reference normal form and numbering, and a reference report renderer."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import random
 from typing import Mapping, Sequence
@@ -49,6 +50,12 @@ MALFORMED_BOUNDS = [
     ("table: 4;default=6", "expected a nonnegative integer"),
     ("٣n+1", "expected a nonnegative integer"),
 ]
+
+# Policies nested past the parsers' recursion limit: a valid policy whose
+# regex nests 5,000 groups, and the text of 100,000 nested JSON arrays, which
+# json.dumps cannot write.
+NESTED_REGEX_POLICY = {"classified": ["bb"], "unclassified_regex": "(" * 5000 + "a" + ")" * 5000}
+NESTED_ARRAYS_TEXT = "[" * 100000 + "]" * 100000
 
 
 def random_canonical_machine(
@@ -367,6 +374,81 @@ def reference_canonicalize(m: MachineDescription) -> MachineDescription:
         blank=BLANK,
         transitions=rules,
     )
+
+
+# The index bijection as the enumeration module's docstring states it,
+# written apart from its shapes: the reference decode and encode are compared
+# against.
+
+
+def _reference_pairs():
+    """Every pair of naturals in Cantor code order: (0, 0), (1, 0), (0, 1), (2, 0), ..."""
+    a, b = 0, 0
+    while True:
+        yield a, b
+        a, b = (a - 1, b + 1) if a else (b + 1, 0)
+
+
+def _reference_walk():
+    """Each shape (states, sigma size, extras) in Cantor triple code order, with its first index and its table count."""
+    pairs, inner = [], _reference_pairs()
+    start = 0
+    for a, rest in _reference_pairs():
+        while len(pairs) <= rest:
+            pairs.append(next(inner))
+        b, extras = pairs[rest]
+        if b < len(SIGMA_UNIVERSE) and extras <= len(EXTRA_UNIVERSE):
+            states, g = a + 3, b + 2 + extras
+            capacity = (states * g * 2) ** ((states - 2) * g)
+            yield (states, b + 1, extras), start, capacity
+            start += capacity
+
+
+_REFERENCE_SHAPES: list[tuple[tuple[int, int, int], int, int]] = []
+_reference_walker = _reference_walk()
+
+
+def reference_shapes():
+    """_reference_walk, remembered across calls."""
+    for i in itertools.count():
+        if i == len(_REFERENCE_SHAPES):
+            _REFERENCE_SHAPES.append(next(_reference_walker))
+        yield _REFERENCE_SHAPES[i]
+
+
+def reference_index(m: MachineDescription) -> int:
+    """The index of a canonical machine: its shape's first index plus its table numeral.
+
+    The rule of state q reading symbol s is digit q * |gamma| + rank(s) of
+    the numeral, counted from the least significant, and the digit is
+    (q2 * |gamma| + rank(w)) * 2 + (move is R).
+    """
+    gamma, k = m.tape_alphabet, len(m.input_alphabet)
+    dims = (m.state_count, k, len(gamma) - k - 1)
+    start = next(start for shape, start, _ in reference_shapes() if shape == dims)
+    g, rank = len(gamma), gamma.index
+    radix = m.state_count * g * 2
+    return start + sum(
+        ((q2 * g + rank(w)) * 2 + (mv == RIGHT)) * radix ** (q * g + rank(s)) for q, s, q2, w, mv in m.transitions
+    )
+
+
+def reference_machine(n: int) -> MachineDescription:
+    """The canonical machine with index n, built through the public constructor."""
+    for (states, k, extras), start, capacity in reference_shapes():
+        if n < start + capacity:
+            break
+    sigma = tuple(SIGMA_UNIVERSE[:k])
+    gamma = sigma + (BLANK,) + tuple(EXTRA_UNIVERSE[:extras])
+    g = len(gamma)
+    radix = states * g * 2
+    rules = []
+    for position in range((states - 2) * g):
+        digit = (n - start) // radix**position % radix
+        q, s = divmod(position, g)
+        q2, w = divmod(digit // 2, g)
+        rules.append((q, gamma[s], q2, gamma[w], RIGHT if digit % 2 else LEFT))
+    return MachineDescription(states, 0, states - 2, states - 1, sigma, gamma, BLANK, tuple(rules))
 
 
 def reference_render_report(
