@@ -54,12 +54,17 @@ def _substring_free(classified: tuple[str, ...]) -> Callable[[str], bool]:
     return predicate
 
 
+# The most characters of an invalid unclassified_regex that an error quotes.
+_QUOTED = 12
+
+
 def policy_from_dict(data: dict) -> ContainmentPolicy:
     """Build a policy from {"classified": [...], "unclassified_regex": "..."}.
 
     "classified" must be a list of nonempty strings; the optional regex must
     be a string that compiles. Anything else raises ValueError, a regex
-    nested too deeply to compile included. Without a regex, a string is
+    nested too deeply to compile included, with a message that quotes at most
+    _QUOTED characters of the regex. Without a regex, a string is
     unclassified exactly when it contains no classified string as a
     substring.
     """
@@ -73,6 +78,10 @@ def policy_from_dict(data: dict) -> ContainmentPolicy:
     try:
         compiled = re.compile(pattern)
     except (re.error, TypeError) as exc:
+        # A long pattern is named by a prefix and its length, and without the
+        # compiler's message, which can quote the pattern too.
+        if isinstance(pattern, str) and len(pattern) > _QUOTED:
+            raise ValueError(f"unclassified_regex {pattern[:_QUOTED]!r}... ({len(pattern):,} characters) is not a valid regular expression") from None
         raise ValueError(f"unclassified_regex {pattern!r} is not a valid regular expression: {exc}") from None
     except RecursionError:
         raise ValueError("unclassified_regex nests too deeply to compile") from None

@@ -50,6 +50,14 @@ engine hands out shared outcomes from a memo of _OUTCOMES_REMEMBERED
 entries, and a run pays a lookup, not the building of a frozen dataclass.
 Which outcomes are shared is not API; compare them by value. The memo holds
 at most that many outputs, each of at most fuel + len(input) + 1 symbols.
+A run checks its input with one set test and looks for the symbol at fault
+only when that fails.
+
+Sweeps draw their inputs from `strings_up_to`, which refuses a negative
+max_len at the call. A memo of at most _SWEEPS_REMEMBERED sweeps, keyed on
+the sorted alphabet and max_len, makes each sweep of at most _SWEEP_CAP
+symbols once, as a tuple; a larger sweep is generated as it is consumed and
+not kept.
 
 A step finds its rule through `rule_index`, {(state, read symbol): i}
 with m.transitions[i] that pair's rule. A valid machine's sorted rules run
@@ -62,7 +70,10 @@ and a machine stores nothing after construction but its eight fields.
 The constructor validates every machine; `decode` assembles its own
 unchecked. Validation is one pass: the header (state count, roles,
 alphabets, blank), then the rules in order, then the table's totality, and
-the first fault raises, naming the rules at fault.
+the first fault raises, naming the rules at fault. Totality is settled by
+counting the distinct keys that the walk over the rules let through; only
+a table that fails the count is walked pair by pair, to name the first
+pair missing.
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from operator import eq
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -202,25 +213,38 @@ def _validate(m: MachineDescription) -> None:
     missing = [s for s in m.input_alphabet if s not in tape_set]
     if missing:
         raise MachineError(f"input symbols {missing} are missing from the tape alphabet")
-    halting = m.halting_states
+    n, halting = m.state_count, m.halting_states
     seen: dict[tuple[int, str], Rule] = {}
     for rule in m.transitions:
         q, s, q2, w, mv = rule
-        if (q, s) in seen:
-            raise MachineError(f"duplicate rule for state {q} reading {s!r}", seen[(q, s)], rule)
-        seen[(q, s)] = rule
+        key = q, s
+        if key in seen:
+            raise MachineError(f"duplicate rule for state {q} reading {s!r}", seen[key], rule)
+        seen[key] = rule
         if q in halting:
             raise MachineError(f"state {q} is halting and must not take transitions", rule)
-        if not 0 <= q < m.state_count or not 0 <= q2 < m.state_count:
+        if not 0 <= q < n or not 0 <= q2 < n:
             raise MachineError(f"rule ({q}, {s!r}) references a state out of range", rule)
         if s not in tape_set or w not in tape_set:
             raise MachineError(f"rule ({q}, {s!r}) -> ({q2}, {w!r}) uses a symbol outside the tape alphabet", rule)
         if mv not in (LEFT, RIGHT):
             raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", rule)
-    for q in m.working_states():
-        for s in m.tape_alphabet:
-            if (q, s) not in seen:
-                raise MachineError(f"transition table is not total: no rule for state {q} reading {s!r}")
+    # Each key in seen is distinct and pairs a tape symbol with a state in
+    # [0, state_count) that does not halt. When the roles and those states are
+    # integers, such keys cover the working states times the tape alphabet
+    # exactly when there are (state_count - 2) * len(tape_alphabet) of them.
+    # Any other table is walked pair by pair, to name the first one missing.
+    states = range(n)
+    if not (
+        len(seen) == (n - 2) * len(m.tape_alphabet)
+        and m.accept_state in states
+        and m.reject_state in states
+        and set(states).issuperset(map(itemgetter(0), seen))
+    ):
+        for q in m.working_states():
+            for s in m.tape_alphabet:
+                if (q, s) not in seen:
+                    raise MachineError(f"transition table is not total: no rule for state {q} reading {s!r}")
 
 
 class RunKind(str, enum.Enum):
@@ -434,12 +458,6 @@ def _new_content(configs: list[Configuration], reach: int) -> Iterator[tuple[int
             before = after
 
 
-def _check_input(letters: frozenset[str], input_string: str) -> None:
-    for sym in input_string:
-        if sym not in letters:
-            raise MachineError(f"input symbol {sym!r} is not in the input alphabet")
-
-
 def _classify_tape(letters: frozenset[str], tape: Mapping[int, str]) -> tuple[str | None, UndefinedReason | None]:
     """The output of a halt on tape and, if it is undefined, why; letters are the machine's input letters."""
     if not tape:
@@ -486,7 +504,9 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
     if fuel < 0:
         raise MachineError("fuel must be nonnegative")
     index, letters = _tables(m)
-    _check_input(letters, input_string)
+    if not letters.issuperset(input_string):
+        sym = next(sym for sym in input_string if sym not in letters)
+        raise MachineError(f"input symbol {sym!r} is not in the input alphabet")
     tape = dict(enumerate(input_string, 1))
     state = m.start_state
     head = lo = hi = steps = 0
@@ -596,14 +616,31 @@ def render_tape(config: Configuration, blank: str = BLANK) -> str:
     return "".join(config.tape.get(i, blank) for i in range(lo, hi + 1))
 
 
+# A partition's leaves ask for the same few sweeps for each of thousands of
+# machines. max_len * (max_len + 1) * len(alphabet) ** max_len bounds a
+# sweep's symbols; the memo keeps a sweep when that is at most _SWEEP_CAP,
+# and drops its oldest sweep first.
+_SWEEPS_REMEMBERED = 16
+_SWEEP_CAP = 10_000
+_sweeps: dict = {}
+
+
 def strings_up_to(alphabet: Iterable[str], max_len: int) -> Iterator[str]:
-    """All strings over the alphabet up to max_len, shortest first, then lexicographic."""
+    """All strings over the alphabet up to max_len, shortest first, then lexicographic.
+
+    A negative max_len raises MachineError here, at the call.
+    """
     if max_len < 0:
         raise MachineError("max_len must be nonnegative")
-    symbols = sorted(alphabet)
-    for length in range(max_len + 1):
-        for combo in product(symbols, repeat=length):
-            yield "".join(combo)
+    symbols = tuple(sorted(alphabet))
+    sweep = _sweeps.get((symbols, max_len))
+    if sweep is None:
+        sweep = ("".join(combo) for length in range(max_len + 1) for combo in product(symbols, repeat=length))
+        if max_len <= _SWEEP_CAP and max_len * (max_len + 1) * len(symbols) ** max_len <= _SWEEP_CAP:
+            if len(_sweeps) == _SWEEPS_REMEMBERED:
+                _sweeps.pop(next(iter(_sweeps)), None)
+            sweep = _sweeps[symbols, max_len] = tuple(sweep)
+    return iter(sweep)
 
 
 class EquivKind(str, enum.Enum):

@@ -335,7 +335,6 @@ def _usage_within(outcome: RunLookup, m: MachineDescription, measure: ResourceMe
     evidence: list[tuple[str, int | None]] = []
     unresolved = False
     any_defined = False
-    violation: str | None = None
     for sigma in strings_up_to(m.input_alphabet, max_len):
         ran = outcome(sigma, fuel)
         value = measure.evaluate(ran)
@@ -343,12 +342,9 @@ def _usage_within(outcome: RunLookup, m: MachineDescription, measure: ResourceMe
         if value is not None:
             any_defined = True
             if value > bound(len(sigma)):
-                violation = sigma
-                break
+                return BoundVerdict(BoundCheckKind.VIOLATES, witness=sigma, evidence=tuple(evidence))
         elif not ran.halted:
             unresolved = True
-    if violation is not None:
-        return BoundVerdict(BoundCheckKind.VIOLATES, witness=violation, evidence=tuple(evidence))
     if unresolved or not any_defined:
         return BoundVerdict(BoundCheckKind.INCONCLUSIVE, evidence=tuple(evidence))
     return BoundVerdict(BoundCheckKind.IN_BOUNDS, evidence=tuple(evidence))

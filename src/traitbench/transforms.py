@@ -9,14 +9,18 @@ or output, and canonicalize renames states and symbols into the normal form
 the index bijection covers.
 
 The three state-adding rewrites are each a chain of new states numbered
-after m's, built by one helper from a list of steps: each new state either
+after m's, built by one helper from a tuple of steps: each new state either
 loops on itself or hands control to the next, the last one to m's start.
+One helper, _extend, builds each variant with one positional
+MachineDescription call, so every variant is validated once, as any
+constructed machine is.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from .enumeration import _shape_of, encode
 from .machine import LEFT, RIGHT, MachineDescription, Rule
@@ -24,19 +28,26 @@ from .machine import LEFT, RIGHT, MachineDescription, Rule
 
 _Step = tuple[str, str | None, tuple[str, ...]]  # (move, write, advance_on)
 
+# A chain depends on the header fields it is given and on its steps alone, so
+# the machines of one header share each rewrite's chain: the 6,190 variants a
+# 4,000-index partition builds use 9 chains. Like machine._header_tables the
+# memo is bounded; an entry holds the rules its variant added.
+_CHAINS_REMEMBERED = 64
 
-def _chain(m: MachineDescription, tape_alphabet: tuple[str, ...], steps: list[_Step]) -> tuple[Rule, ...]:
-    """Rules for new states m.state_count, m.state_count + 1, .. one per step.
+
+@lru_cache(maxsize=_CHAINS_REMEMBERED)
+def _chain(state_count: int, start_state: int, tape_alphabet: tuple[str, ...], steps: tuple[_Step, ...]) -> tuple[Rule, ...]:
+    """Rules for new states state_count, state_count + 1, .. one per step.
 
     A step (move, write, advance_on) moves the head by move on every symbol.
     On a symbol in advance_on it writes write (the symbol read, when None)
-    and advances to the next new state, or to m's start state after the
-    last step; on any other symbol it rewrites what it read and stays.
+    and advances to the next new state, or to start_state after the last
+    step; on any other symbol it rewrites what it read and stays.
     """
     rules: list[Rule] = []
     for i, (move, write, advance_on) in enumerate(steps):
-        state = m.state_count + i
-        target = state + 1 if i < len(steps) - 1 else m.start_state
+        state = state_count + i
+        target = state + 1 if i < len(steps) - 1 else start_state
         for sym in tape_alphabet:
             if sym in advance_on:
                 rules.append((state, sym, target, sym if write is None else write, move))
@@ -45,12 +56,21 @@ def _chain(m: MachineDescription, tape_alphabet: tuple[str, ...], steps: list[_S
     return tuple(rules)
 
 
+def _extend(m: MachineDescription, start_state: int, tape_alphabet: tuple[str, ...], rules: tuple[Rule, ...], steps: tuple[_Step, ...]) -> MachineDescription:
+    """m with a chain of new states after its own, one per step, in one constructor call.
+
+    The new machine starts in start_state, reads tape_alphabet, and holds m's
+    rules, then rules, then the chain's.
+    """
+    chain = _chain(m.state_count, m.start_state, tape_alphabet, steps)
+    return MachineDescription(m.state_count + len(steps), start_state, m.accept_state, m.reject_state, m.input_alphabet, tape_alphabet, m.blank, m.transitions + rules + chain)
+
+
 def pad(m: MachineDescription, k: int) -> MachineDescription:
     """Append k unreachable self-looping states; traces are unchanged."""
     if k < 1:
         raise ValueError("pad needs k >= 1 extra states")
-    rules = m.transitions + _chain(m, m.tape_alphabet, [(RIGHT, None, ())] * k)
-    return replace(m, state_count=m.state_count + k, transitions=rules)
+    return _extend(m, m.start_state, m.tape_alphabet, (), ((RIGHT, None, ()),) * k)
 
 
 def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
@@ -64,9 +84,8 @@ def delay_inject(m: MachineDescription, d: int) -> MachineDescription:
     if d < 2 or d % 2 != 0:
         raise ValueError("delay must be an even number of steps, at least 2")
     every = m.tape_alphabet
-    steps = [(LEFT, None, every)] * (d // 2) + [(RIGHT, None, every)] * (d // 2)
-    rules = m.transitions + _chain(m, every, steps)
-    return replace(m, state_count=m.state_count + d, start_state=m.state_count, transitions=rules)
+    steps = ((LEFT, None, every),) * (d // 2) + ((RIGHT, None, every),) * (d // 2)
+    return _extend(m, m.state_count, every, (), steps)
 
 
 def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
@@ -90,21 +109,15 @@ def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
     # produces, but the table must stay total over the grown alphabet.
     rejects = tuple((q, sym, m.reject_state, sym, RIGHT) for q in m.working_states() for sym in new_symbols)
     steps = (
-        [(RIGHT, None, every)]  # step off the start cell onto the input
-        + [(RIGHT, chi[0], blank)]  # scan to the first blank and write chi[0]
-        + [(RIGHT, sym, every) for sym in chi[1:]]  # write the rest of chi
-        + [(LEFT, None, every)]  # turn back onto chi's last cell
-        + [(LEFT, m.blank, every)] * len(chi)  # erase chi, one cell per step
-        + [(LEFT, None, blank)]  # scan left past the blank start cell
-        + [(RIGHT, None, every)]  # step back onto it in m's start state
+        ((RIGHT, None, every),)  # step off the start cell onto the input
+        + ((RIGHT, chi[0], blank),)  # scan to the first blank and write chi[0]
+        + tuple((RIGHT, sym, every) for sym in chi[1:])  # write the rest of chi
+        + ((LEFT, None, every),)  # turn back onto chi's last cell
+        + ((LEFT, m.blank, every),) * len(chi)  # erase chi, one cell per step
+        + ((LEFT, None, blank),)  # scan left past the blank start cell
+        + ((RIGHT, None, every),)  # step back onto it in m's start state
     )
-    return replace(
-        m,
-        state_count=m.state_count + len(steps),
-        start_state=m.state_count,
-        tape_alphabet=every,
-        transitions=m.transitions + rejects + _chain(m, every, steps),
-    )
+    return _extend(m, m.state_count, every, rejects, steps)
 
 
 def canonicalize(m: MachineDescription) -> MachineDescription:

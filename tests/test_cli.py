@@ -19,7 +19,7 @@ from traitbench.enumeration import decode
 from traitbench.machine import equiv_bounded, format_machine, parse_machine
 from traitbench.measures import MEASURES
 from traitbench.transforms import pad
-from util import MALFORMED_BOUNDS, NESTED_ARRAYS_TEXT, NESTED_REGEX_POLICY
+from util import LONG_INVALID_REGEX, MALFORMED_BOUNDS, NESTED_ARRAYS_TEXT, NESTED_REGEX_POLICY
 
 
 @pytest.fixture
@@ -526,6 +526,7 @@ class TestContain:
             {"classified": ["bb"], "unclassified_regex": "("},
             NESTED_REGEX_POLICY,
             pytest.param(NESTED_ARRAYS_TEXT, id="policy5"),
+            pytest.param({"classified": ["bb"], "unclassified_regex": LONG_INVALID_REGEX}, id="long-invalid-regex"),
         ],
     )
     def test_invalid_policy_exits_one(self, machine_file, echo, tmp_path, policy, capsys):
@@ -534,7 +535,7 @@ class TestContain:
         assert main(["contain", "--machine", machine_file(echo), "--policy", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: policy {path}: ")
-        assert len(err) < 200
+        assert len(err) < 200 and err.count("\n") == 1
 
 
 class TestBlumCheck:

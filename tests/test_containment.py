@@ -18,7 +18,7 @@ from traitbench.containment import (
 )
 from traitbench.machine import run, strings_up_to
 from traitbench.transforms import leaky_wrap
-from util import NESTED_REGEX_POLICY, canonical_machines, machine_from_rules, reference_containment
+from util import LONG_INVALID_REGEX, NESTED_REGEX_POLICY, canonical_machines, machine_from_rules, reference_containment
 
 POLICY = ContainmentPolicy(classified=("bb",))
 INPUTS = ("a", "ab", "ba")
@@ -68,10 +68,12 @@ class TestPolicy:
                 policy_from_dict({"classified": ["bb", entry]})
 
     def test_from_dict_rejects_an_invalid_regex(self):
-        for pattern in ("(", 5, NESTED_REGEX_POLICY["unclassified_regex"]):
+        for pattern in ("(", 5, NESTED_REGEX_POLICY["unclassified_regex"], LONG_INVALID_REGEX):
             with pytest.raises(ValueError, match="unclassified_regex") as info:
                 policy_from_dict({"classified": ["bb"], "unclassified_regex": pattern})
-            assert len(str(info.value)) < 200
+            assert len(str(info.value)) < 200 and "\n" not in str(info.value)
+        # A long pattern is named by a short prefix and its length.
+        assert str(info.value) == "unclassified_regex 'aaaaaaaaaaaa'... (100,001 characters) is not a valid regular expression"
 
     def test_load_policy_round_trip(self, tmp_path):
         path = tmp_path / "policy.json"

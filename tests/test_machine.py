@@ -1,5 +1,6 @@
 """Core semantics: runs, tape classification, parsing, bounded equivalence."""
 
+import itertools
 import pickle
 import pydoc
 import re
@@ -79,8 +80,9 @@ class TestRun:
         assert run(echo, "abab", 100).space == 1
 
     def test_rejects_input_outside_alphabet(self, echo):
-        with pytest.raises(MachineError):
-            run(echo, "xz", 100)
+        # The message names the first symbol at fault.
+        with pytest.raises(MachineError, match="^input symbol 'x' is not in the input alphabet$"):
+            run(echo, "abxz", 100)
 
     def test_rejects_negative_fuel(self, echo):
         with pytest.raises(MachineError):
@@ -446,6 +448,47 @@ class TestStringsUpTo:
     def test_single_letter_alphabet(self):
         assert list(strings_up_to(("a",), 3)) == ["", "a", "aa", "aaa"]
 
+    @pytest.mark.parametrize("given_as", [str, tuple, list, set])
+    def test_every_alphabet_size_yields_the_product_order(self, given_as):
+        # Letters given out of order, 0 to 10 of them, in each container a
+        # caller may pass; each sweep is asked for twice, so the second comes
+        # from the memo.
+        for size in range(11):
+            letters = "jihgfedcba"[10 - size :]
+            alphabet = given_as(letters) if given_as is not str else letters
+            for max_len in range(4):
+                expected = ["".join(combo) for length in range(max_len + 1) for combo in itertools.product(sorted(letters), repeat=length)]
+                assert list(strings_up_to(alphabet, max_len)) == expected
+                assert list(strings_up_to(alphabet, max_len)) == expected
+
+    def test_iterators_from_equal_arguments_are_independent(self):
+        first, second = strings_up_to("ab", 2), strings_up_to(("b", "a"), 2)
+        assert [next(first), next(first), next(first)] == ["", "a", "b"]
+        assert list(second) == ["", "a", "b", "aa", "ab", "ba", "bb"]
+        assert list(first) == ["aa", "ab", "ba", "bb"]
+
+    def test_a_sweep_above_the_cap_is_generated_and_not_kept(self, monkeypatch):
+        # 10 letters up to length 5 are 111,111 strings of 555,550 symbols,
+        # past the memo's cap; up to length 2 they are 111 strings of 210.
+        monkeypatch.setattr(machine, "_sweeps", {(("a",), 1): ("", "a")})
+        expected = ["".join(combo) for length in range(6) for combo in itertools.product("abcdefghij", repeat=length)]
+        assert list(strings_up_to("jihgfedcba", 5)) == expected
+        assert machine._sweeps == {(("a",), 1): ("", "a")}
+        assert list(strings_up_to("jihgfedcba", 2)) == expected[:111]
+        assert list(machine._sweeps) == [(("a",), 1), (tuple("abcdefghij"), 2)]
+
+    def test_the_memo_drops_its_oldest_sweep_first(self, monkeypatch):
+        monkeypatch.setattr(machine, "_sweeps", {})
+        alphabets = ["".join(letters) for letters in itertools.combinations("abcdefgh", 3)][: machine._SWEEPS_REMEMBERED + 1]
+        for alphabet in alphabets:
+            assert list(strings_up_to(alphabet, 1)) == ["", *alphabet]
+        assert len(machine._sweeps) == machine._SWEEPS_REMEMBERED
+        assert list(machine._sweeps) == [(tuple(alphabet), 1) for alphabet in alphabets[1:]]
+
+    def test_a_negative_max_len_is_refused_at_the_call(self):
+        with pytest.raises(MachineError, match="max_len must be nonnegative"):
+            strings_up_to("ab", -1)
+
     def test_a_negative_max_len_is_refused_before_any_run(self, echo, monkeypatch):
         # Every sweep draws its inputs from strings_up_to, so each refuses a
         # negative max_len as run refuses a negative fuel, not answering over
@@ -740,8 +783,41 @@ class TestOddFields:
             pytest.param({"accept_state": 2.5}, id="non-integer-role"),
             pytest.param({"state_count": 4.0}, id="non-integer-state-count"),
             pytest.param({"transitions": SMALL_MACHINE_FIELDS["transitions"][:3] + ((1, "_", 2, "_", "R", "R"),)}, id="rule-of-six"),
+            pytest.param({"accept_state": 2.0}, id="integer-valued-role"),
+            pytest.param({"transitions": SMALL_MACHINE_FIELDS["transitions"][:3] + ((1.0, "_", 2, "_", "R"),)}, id="integer-valued-rule-state"),
+            # Four distinct keys, the count of a total table, yet no rule for (1, '_').
+            pytest.param({"transitions": SMALL_MACHINE_FIELDS["transitions"][:3] + ((1.5, "_", 2, "_", "R"),)}, id="non-integer-rule-state"),
+            pytest.param({"transitions": SMALL_MACHINE_FIELDS["transitions"] + ((1.5, "_", 2, "_", "R"),)}, id="extra-non-integer-rule-state"),
         ],
     )
     def test_odd_headers_and_rules_behave_as_the_reference(self, changes):
         fields = {**SMALL_MACHINE_FIELDS, **changes}
         assert outcome(lambda: MachineDescription(**fields)) == outcome(lambda: reference_validate(unvalidated_machine(**fields)))
+
+
+class TestTotality:
+    """A count of distinct keys settles a total table; a table that fails it is named as the reference names it."""
+
+    def test_a_repeated_key_in_place_of_a_missing_one_is_a_duplicate(self):
+        # Four rules, as many as the table's four pairs, but (0, 'a') twice
+        # and (1, '_') never: the walk reports the duplicate, with both rules.
+        twin = (0, "a", 2, "a", "R")
+        fields = {**SMALL_MACHINE_FIELDS, "transitions": SMALL_MACHINE_FIELDS["transitions"][:3] + (twin,)}
+        expected = (MachineError, "duplicate rule for state 0 reading 'a'", (SMALL_MACHINE_FIELDS["transitions"][0], twin))
+        assert outcome(lambda: MachineDescription(**fields)) == expected
+        assert outcome(lambda: reference_validate(unvalidated_machine(**fields))) == expected
+
+    @pytest.mark.parametrize(
+        "rules, missing",
+        [
+            # (0, 'b') and (0, '_') are missing; the tape alphabet puts 'b' first, though '_' sorts first.
+            pytest.param(((0, "a", 0, "a", "R"), (1, "b", 1, "b", "L"), (1, "a", 1, "a", "L"), (1, "_", 2, "_", "R")), "state 0 reading 'b'", id="first-state"),
+            pytest.param(((0, "b", 0, "b", "R"), (0, "a", 0, "a", "R"), (0, "_", 1, "_", "L"), (1, "b", 1, "b", "L")), "state 1 reading 'a'", id="later-state"),
+            pytest.param(((0, "b", 0, "b", "R"),), "state 0 reading 'a'", id="one-rule"),
+        ],
+    )
+    def test_a_table_that_only_lacks_pairs_names_the_first_missing(self, rules, missing):
+        fields = {**SMALL_MACHINE_FIELDS, "tape_alphabet": ("b", "a", "_"), "transitions": rules}
+        expected = (MachineError, f"transition table is not total: no rule for {missing}", ())
+        assert outcome(lambda: MachineDescription(**fields)) == expected
+        assert outcome(lambda: reference_validate(unvalidated_machine(**fields))) == expected

@@ -1,17 +1,20 @@
 """Semantics-preserving transformations and their receipts."""
 
+import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitbench import machine
 from traitbench.enumeration import encode
 from traitbench.fixtures import all_fixtures
-from traitbench.machine import EquivKind, RunKind, equiv_bounded, format_machine, render_tape, run, strings_up_to, trace
+from traitbench.machine import EquivKind, MachineDescription, RunKind, equiv_bounded, format_machine, render_tape, run, strings_up_to, trace
 from traitbench.transforms import TransformReceipt, canonicalize, delay_inject, leaky_wrap, pad, receipt_for
-from util import canonical_machines
+from util import canonical_machines, noncanonical_machines
 
 
 class TestPad:
@@ -195,6 +198,47 @@ class TestReceipts:
         receipt = receipt_for("leak", echo, leaky_wrap(echo, "b"), "b")
         data = json.loads(receipt.as_json())
         assert TransformReceipt(**data) == receipt
+
+
+def assert_built_by_the_constructor(variant):
+    """variant is the machine MachineDescription(**fields) builds from its fields, down to storage and pickle."""
+    built = MachineDescription(**{f.name: getattr(variant, f.name) for f in dataclasses.fields(variant)})
+    names = [f.name for f in dataclasses.fields(variant)]
+    assert [getattr(variant, name) for name in names] == [getattr(built, name) for name in names]
+    assert [type(getattr(variant, name)) for name in names] == [type(getattr(built, name)) for name in names]
+    assert variant == built and hash(variant) == hash(built)
+    assert pickle.dumps(variant) == pickle.dumps(built)
+    assert list(vars(variant).items()) == list(vars(built).items())
+
+
+class TestConstruction:
+    """Each rewrite builds its variant in one constructor call, which validates it once."""
+
+    @given(canonical_machines(max_states=5, max_sigma=2, max_extras=1) | noncanonical_machines(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_variant_is_the_one_the_constructor_builds(self, m, data):
+        # chi from the tape alphabet, from outside it, or from both.
+        inside = [sym for sym in m.tape_alphabet if sym != m.blank]
+        outside = [sym for sym in "xyzXYZ!?" if sym not in m.tape_alphabet]
+        pool = data.draw(st.sampled_from([p for p in (inside, outside, inside + outside) if p]))
+        chi = data.draw(st.text(st.sampled_from(pool), min_size=1, max_size=4))
+        variants = [pad(m, k) for k in (1, 2, 3)] + [delay_inject(m, d) for d in (2, 4, 6)] + [leaky_wrap(m, chi)]
+        for variant in variants:
+            assert_built_by_the_constructor(variant)
+
+    def test_every_variant_is_validated_once(self, echo, monkeypatch):
+        checked = []
+        validate = machine._validate
+
+        def counted(m):
+            checked.append(m)
+            validate(m)
+
+        monkeypatch.setattr(machine, "_validate", counted)
+        for build in (lambda: pad(echo, 2), lambda: delay_inject(echo, 4), lambda: leaky_wrap(echo, "bX")):
+            checked.clear()
+            variant = build()
+            assert len(checked) == 1 and checked[0] is variant
 
 
 class TestPinnedConstructions:

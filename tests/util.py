@@ -56,6 +56,8 @@ MALFORMED_BOUNDS = [
 # json.dumps cannot write.
 NESTED_REGEX_POLICY = {"classified": ["bb"], "unclassified_regex": "(" * 5000 + "a" + ")" * 5000}
 NESTED_ARRAYS_TEXT = "[" * 100000 + "]" * 100000
+# An invalid regex of 100,001 characters, which an error must not echo whole.
+LONG_INVALID_REGEX = "a" * 100000 + "("
 
 
 def random_canonical_machine(
