@@ -18,7 +18,7 @@ checks fuel and input once and counts space as the visited interval. `run`
 is the core as it is; `trace` passes a `configs` list that the core fills
 with every configuration; the space measure's graph in `measures` passes a
 `space_limit` that stops the run, not halted, once the head has scanned
-more cells than the limit.
+more cells than the limit. An outcome keeps the interval's left end, lo.
 
 Unless `configs` is given, the core also proves divergence with two
 certificates: an exact configuration repeat (Brent's cycle detection, as
@@ -262,9 +262,9 @@ class UndefinedReason(str, enum.Enum):
 class RunOutcome:
     """Result of a fuel-bounded run.
 
-    steps counts every transition taken; space counts the distinct cells the
-    head scanned, start cell included (the cell a final halting move lands on
-    is not scanned by any transition and does not count).
+    steps counts every transition taken; space counts the cells the head
+    scanned, lo the leftmost of them and the start cell 0 among them (the
+    cell a final halting move lands on is not scanned and does not count).
     """
 
     kind: RunKind
@@ -272,6 +272,7 @@ class RunOutcome:
     space: int
     output: str | None = None
     reason: UndefinedReason | None = None
+    lo: int = 0
 
     @property
     def halted(self) -> bool:
@@ -293,8 +294,8 @@ _HALTED_OUTPUT, _HALTED_UNDEFINED, _FUEL_EXHAUSTED = RunKind
 # 99% of a 2,000-machine Blum sweep's runs and 96% of a 4,000-index
 # partition's, with a quarter of the memory of 256. An entry holds one
 # output, of at most fuel + len(input) + 1 symbols. RunKind is a str enum, so
-# a plain string keys the same entry as its member: only the engine calls
-# this, always with members and all five fields.
+# a plain string keys the same entry as its member: the engine and
+# transforms.variant_run call this, always with members and all six fields.
 _OUTCOMES_REMEMBERED = 64
 _shared_outcome = lru_cache(maxsize=_OUTCOMES_REMEMBERED)(RunOutcome)
 
@@ -533,7 +534,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             configs.append(Configuration(state, head, snapshot))
         if state in halting:
             output, reason = _classify_tape(letters, tape)
-            return _shared_outcome(_HALTED_UNDEFINED if output is None else _HALTED_OUTPUT, steps, hi - lo + 1, output, reason)
+            return _shared_outcome(_HALTED_UNDEFINED if output is None else _HALTED_OUTPUT, steps, hi - lo + 1, output, reason, lo)
         if steps >= fuel:
             break
         # The head moves one cell per step, so the scanned cells are [lo, hi];
@@ -589,7 +590,7 @@ def _simulate(m: MachineDescription, input_string: str, fuel: int, configs: list
             snapshot = snapshot.write(head, written)
         head += 1 if move == RIGHT else -1
         steps += 1
-    return _shared_outcome(_FUEL_EXHAUSTED, steps, hi - lo + 1, None, None)
+    return _shared_outcome(_FUEL_EXHAUSTED, steps, hi - lo + 1, None, None, lo)
 
 
 def run(m: MachineDescription, input_string: str, fuel: int) -> RunOutcome:

@@ -30,7 +30,7 @@ from .machine import (
     run,
     strings_up_to,
 )
-from .transforms import delay_inject
+from .transforms import delay_inject, variant_run
 
 
 @dataclass(frozen=True)
@@ -385,24 +385,25 @@ def discriminating_witness(
     own cost is defined. The delayed machine gets d extra fuel so that the
     injected steps alone can never mask definedness.
     """
-    base: list[tuple[str, int]] = []
+    base: list[tuple[str, RunOutcome, int]] = []
     for sigma in strings_up_to(m.input_alphabet, max_len):
-        value = measure.evaluate(run(m, sigma, fuel))
+        ran = run(m, sigma, fuel)
+        value = measure.evaluate(ran)
         if value is not None:
-            base.append((sigma, value))
+            base.append((sigma, ran, value))
     if not base:
         raise ValueError("the measure is undefined on every tested input; nothing to discriminate against")
     for d in range(2, 2 * trials + 1, 2):
-        candidate = delay_inject(m, d)
         evidence: list[tuple[str, int, int]] = []
-        for sigma, base_value in base:
-            raised = measure.evaluate(run(candidate, sigma, fuel + d))
+        for sigma, ran, base_value in base:
+            # delay_inject(m, d) spends d steps on its lead-in and hands m the fuel ran had.
+            raised = measure.evaluate(variant_run("delay", d, sigma, fuel + d, ran))
             if raised is None or raised <= base_value:
                 evidence = []
                 break
             evidence.append((sigma, base_value, raised))
         if evidence:
-            return DiscriminationWitness(candidate, d, tuple(evidence))
+            return DiscriminationWitness(delay_inject(m, d), d, tuple(evidence))
     raise WitnessSearchError(
         f"no delay up to {2 * trials} raised the {measure.name} cost on every tested input"
     )

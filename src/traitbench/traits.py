@@ -48,7 +48,7 @@ from .measures import (
     space_measure,
     time_measure,
 )
-from .transforms import delay_inject, leaky_wrap, pad
+from .transforms import delay_inject, leaky_wrap, pad, variant_run
 
 
 class Verdict(str, Enum):
@@ -380,16 +380,17 @@ def _probe(
         kind = usable[i % len(usable)]
         scale = i // len(usable) + 1
         if kind == "pad":
-            variant, parameter = pad(m, scale), str(scale)
+            variant, parameter = pad(m, scale), scale
         elif kind == "delay":
-            variant, parameter = delay_inject(m, 2 * scale), str(2 * scale)
+            variant, parameter = delay_inject(m, 2 * scale), 2 * scale
         else:
-            leaked = m.input_alphabet[0] * scale
-            variant, parameter = leaky_wrap(m, leaked), leaked
-        # pad's new states are unreachable, so each run of a pad variant is m's run.
-        verdict = _eval(trait, variant, bounds, outcome) if kind == "pad" else eval_trait(trait, variant, bounds)
+            parameter = m.input_alphabet[0] * scale
+            variant = leaky_wrap(m, parameter)
+        # Each run is read off m's; own runs the variant only where m's run cannot tell.
+        own = _run_table(variant)
+        verdict = _eval(trait, variant, bounds, lambda sigma, fuel: variant_run(kind, parameter, sigma, fuel, outcome(sigma, fuel)) or own(sigma, fuel))
         if verdict is Verdict.OUT:
-            return ProbeResult(variant, kind, parameter, i + 1, False)
+            return ProbeResult(variant, kind, str(parameter), i + 1, False)
         if verdict is not Verdict.IN:
             all_in = False
     return ProbeResult(None, None, None, probes, all_in)

@@ -9,61 +9,45 @@ or output, and canonicalize renames states and symbols into the normal form
 the index bijection covers.
 
 The three state-adding rewrites are each a chain of new states numbered
-after m's, built by one helper from a tuple of steps: each new state either
-loops on itself or hands control to the next, the last one to m's start.
-One helper, _extend, builds each variant with one positional
-MachineDescription call, so every variant is validated once, as any
-constructed machine is.
+after m's, built from a tuple of steps by one helper, _extend, in one
+MachineDescription call, so every variant is validated once: each new
+state either loops on itself or hands control to the next, the last one to
+m's start. A variant runs its chain, if at all, as a lead-in, and then m
+on its own tape and head, so variant_run reads a variant's run off m's.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 from .enumeration import _shape_of, encode
-from .machine import LEFT, RIGHT, MachineDescription, Rule
+from .machine import LEFT, RIGHT, MachineDescription, Rule, RunOutcome, _shared_outcome
 
 
 _Step = tuple[str, str | None, tuple[str, ...]]  # (move, write, advance_on)
-
-# A chain depends on the header fields it is given and on its steps alone, so
-# the machines of one header share each rewrite's chain: the 6,190 variants a
-# 4,000-index partition builds use 9 chains. Like machine._header_tables the
-# memo is bounded; an entry holds the rules its variant added.
-_CHAINS_REMEMBERED = 64
-
-
-@lru_cache(maxsize=_CHAINS_REMEMBERED)
-def _chain(state_count: int, start_state: int, tape_alphabet: tuple[str, ...], steps: tuple[_Step, ...]) -> tuple[Rule, ...]:
-    """Rules for new states state_count, state_count + 1, .. one per step.
-
-    A step (move, write, advance_on) moves the head by move on every symbol.
-    On a symbol in advance_on it writes write (the symbol read, when None)
-    and advances to the next new state, or to start_state after the last
-    step; on any other symbol it rewrites what it read and stays.
-    """
-    rules: list[Rule] = []
-    for i, (move, write, advance_on) in enumerate(steps):
-        state = state_count + i
-        target = state + 1 if i < len(steps) - 1 else start_state
-        for sym in tape_alphabet:
-            if sym in advance_on:
-                rules.append((state, sym, target, sym if write is None else write, move))
-            else:
-                rules.append((state, sym, state, sym, move))
-    return tuple(rules)
 
 
 def _extend(m: MachineDescription, start_state: int, tape_alphabet: tuple[str, ...], rules: tuple[Rule, ...], steps: tuple[_Step, ...]) -> MachineDescription:
     """m with a chain of new states after its own, one per step, in one constructor call.
 
     The new machine starts in start_state, reads tape_alphabet, and holds m's
-    rules, then rules, then the chain's.
+    rules, then rules, then the chain's: new state m.state_count + i takes
+    step i = (move, write, advance_on), moving the head by move on every
+    symbol. On a symbol in advance_on it writes write (the symbol read, when
+    None) and advances to the next new state, or to m's start state after
+    the last step; on any other symbol it rewrites what it read and stays.
     """
-    chain = _chain(m.state_count, m.start_state, tape_alphabet, steps)
-    return MachineDescription(m.state_count + len(steps), start_state, m.accept_state, m.reject_state, m.input_alphabet, tape_alphabet, m.blank, m.transitions + rules + chain)
+    chain: list[Rule] = []
+    for i, (move, write, advance_on) in enumerate(steps):
+        state = m.state_count + i
+        target = state + 1 if i < len(steps) - 1 else m.start_state
+        for sym in tape_alphabet:
+            if sym in advance_on:
+                chain.append((state, sym, target, sym if write is None else write, move))
+            else:
+                chain.append((state, sym, state, sym, move))
+    return MachineDescription(m.state_count + len(steps), start_state, m.accept_state, m.reject_state, m.input_alphabet, tape_alphabet, m.blank, m.transitions + rules + tuple(chain))
 
 
 def pad(m: MachineDescription, k: int) -> MachineDescription:
@@ -118,6 +102,28 @@ def leaky_wrap(m: MachineDescription, chi: str) -> MachineDescription:
         + ((RIGHT, None, every),)  # step back onto it in m's start state
     )
     return _extend(m, m.state_count, every, rejects, steps)
+
+
+def variant_run(kind: str, parameter: int | str, sigma: str, fuel: int, ran: RunOutcome) -> RunOutcome | None:
+    """The run of m's kind rewrite by parameter on sigma under fuel, read off ran; None where ran cannot tell.
+
+    A rewrite adds a lead-in of e steps over the cells [a, b], then m runs on
+    its own tape and head: pad(k) adds e = 0 over [0, 0], delay_inject(d)
+    e = d over [-d/2, 0], leaky_wrap(chi) e = 2|sigma| + 2|chi| + 4 over
+    [-1, |sigma| + |chi| + 1]. ran is m's run on sigma under fuel - e or
+    more. When it takes s <= fuel - e steps, as a halt by then does, the
+    variant's run takes s + e steps with ran's kind, output and reason, over
+    the union of [a, b] and ran's cells.
+    """
+    e, a, b = 0, 0, 0
+    if kind == "delay":
+        e, a = parameter, -(parameter // 2)
+    elif kind == "leak":
+        e, a, b = 2 * len(sigma) + 2 * len(parameter) + 4, -1, len(sigma) + len(parameter) + 1
+    if ran.steps > fuel - e:
+        return None
+    lo = min(ran.lo, a)
+    return _shared_outcome(ran.kind, ran.steps + e, max(ran.lo + ran.space - 1, b) - lo + 1, ran.output, ran.reason, lo)
 
 
 def canonicalize(m: MachineDescription) -> MachineDescription:

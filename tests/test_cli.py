@@ -419,6 +419,12 @@ class TestMeasure:
         assert code == 0
         assert "witness: delay=2" in capsys.readouterr().out
 
+    def test_discriminate_runs_no_candidate(self, machine_file, echo, runs, capsys):
+        # echo halts on every input, so each delayed run is read off echo's.
+        assert main(["measure", "--machine", machine_file(echo), "--discriminate", "--trials", "3", "--max-len", "2"]) == 0
+        assert "witness: delay=2" in capsys.readouterr().out
+        assert len(runs) == 7 and {m for m, _, _ in runs} == {echo}
+
     def test_discriminate_without_a_witness_exits_one(self, machine_file, echo, capsys):
         code = main(["measure", "--machine", machine_file(echo), "--discriminate", "--trials", "0"])
         assert code == 1

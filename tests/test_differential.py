@@ -57,12 +57,12 @@ def reference_space_graph(m, sigma, n):
 @settings(max_examples=300, deadline=None)
 def test_engine_agrees_with_the_reference_stepper(m, data, fuel):
     sigma = data.draw(st.text(alphabet=m.input_alphabet, max_size=2))
-    configs, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
+    configs, kind, steps, space, output, reason, lo = reference_run(m, sigma, fuel)
 
     outcome = run(m, sigma, fuel)
     assert type(outcome) is RunOutcome
-    assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
-        kind, steps, space, output, reason
+    assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason, outcome.lo) == (
+        kind, steps, space, output, reason, lo
     )
     assert [(c.state, c.head, dict(c.tape)) for c in trace(m, sigma, fuel)] == configs
 
@@ -104,10 +104,10 @@ def test_decoded_machines_agree_with_the_reference_stepper():
         m = decode(index)
         for sigma in strings_up_to(m.input_alphabet, 2):
             for fuel in (100, 257, 500):
-                _, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
+                _, kind, steps, space, output, reason, lo = reference_run(m, sigma, fuel)
                 outcome = run(m, sigma, fuel)
-                assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
-                    kind, steps, space, output, reason
+                assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason, outcome.lo) == (
+                    kind, steps, space, output, reason, lo
                 ), (index, sigma, fuel)
             for n in range(13):
                 assert graph(m, sigma, n) == reference_space_graph(m, sigma, n), (index, sigma, n)

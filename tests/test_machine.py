@@ -180,9 +180,9 @@ class TestRun:
         for _ in range(2):
             for m in machines:
                 for sigma in strings_up_to(m.input_alphabet, 2):
-                    _, kind, steps, space, output, reason = reference_run(m, sigma, 20)
+                    _, kind, steps, space, output, reason, lo = reference_run(m, sigma, 20)
                     outcome = run(m, sigma, 20)
-                    assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (kind, steps, space, output, reason)
+                    assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason, outcome.lo) == (kind, steps, space, output, reason, lo)
                 index = m.rule_index
                 assert all(m.transitions[index[q, s]][:2] == (q, s) for q, s, *_ in m.transitions)
         assert machine._header_tables.cache_info().currsize <= machine._INDICES_REMEMBERED
@@ -230,10 +230,10 @@ class TestCertifiedDivergence:
     @staticmethod
     def assert_matches_reference(m, sigma, fuels=range(40)):
         for fuel in fuels:
-            _, kind, steps, space, output, reason = reference_run(m, sigma, fuel)
+            _, kind, steps, space, output, reason, lo = reference_run(m, sigma, fuel)
             outcome = run(m, sigma, fuel)
-            assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason) == (
-                kind, steps, space, output, reason
+            assert (outcome.kind, outcome.steps, outcome.space, outcome.output, outcome.reason, outcome.lo) == (
+                kind, steps, space, output, reason, lo
             ), fuel
 
     # Runaways: translated cyclers whose period equals their drift, so the
@@ -244,7 +244,8 @@ class TestCertifiedDivergence:
         for sigma in ("", "ab"):
             self.assert_matches_reference(m, sigma)
             outcome = run(m, sigma, 10**12)
-            assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12)
+            # The jump moves lo by what it grows: the last step is taken on cell 1 - 10**12.
+            assert (outcome.kind, outcome.steps, outcome.space, outcome.lo) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12, 1 - 10**12)
 
     def test_right_runaway_crosses_its_input_first(self):
         # The blank rule of state 0 runs away, but a 'b' on the input halts:
@@ -300,7 +301,7 @@ class TestCertifiedDivergence:
             self.assert_matches_reference(m, sigma, range(60))
             assert reference_run(m, sigma, 400)[3] == 200
             outcome = run(m, sigma, 10**12)
-            assert (outcome.kind, outcome.steps, outcome.space) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2)
+            assert (outcome.kind, outcome.steps, outcome.space, outcome.lo) == (RunKind.FUEL_EXHAUSTED, 10**12, 10**12 // 2, 1 - 10**12 // 2)
 
     def test_translated_cycler_that_must_first_cross_its_input(self):
         # State 0 walks right over 'a' and halts on 'b'. Its records inside

@@ -288,6 +288,13 @@ class TestDiscriminatingWitness:
         verdicts = {r["verdict"] for r in rows}
         assert verdicts == {"base", f"delayed+{witness.delay}"}
 
+    def test_runs_out_of_fuel_are_read_off_too(self, looper, runs):
+        # The broken measure is defined on the looper's runs, which never halt.
+        witness = discriminating_witness(broken_step_counter(), looper, 3, 1, 50)
+        assert {m for m, _, _ in runs} == {looper}
+        delayed = delay_inject(looper, 2)
+        assert witness.delay == 2 and witness.evidence == tuple((sigma, 50, run(delayed, sigma, 52).steps) for sigma in ("", "a", "b"))
+
     def test_undefined_everywhere_machine_rejected(self, looper):
         with pytest.raises(ValueError):
             discriminating_witness(time_measure(), looper, 3, 1, 50)

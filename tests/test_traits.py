@@ -340,8 +340,9 @@ class TestProbeSemanticity:
         with pytest.raises(ValueError, match="no applicable probe kinds"):
             probe_semanticity(state_count_trait(3), m, 1, Bounds(0, 10), kinds=("leak",))
 
-    def test_pad_variants_read_the_members_runs(self, echo, runs):
-        result = probe_semanticity(total_on_nonempty_trait(), echo, 1, BOUNDS, kinds=("pad",))
+    @pytest.mark.parametrize("kind", traits.PROBE_KINDS)
+    def test_variants_read_the_members_runs(self, echo, runs, kind):
+        result = probe_semanticity(total_on_nonempty_trait(), echo, 1, BOUNDS, kinds=(kind,))
         assert result.all_in and result.variants_checked == 1
         # Six nonempty inputs up to length 2, each run once, on the member only.
         assert len(runs) == len(set(runs)) == 6

@@ -4,16 +4,19 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import random
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitbench import machine
-from traitbench.enumeration import encode
+from traitbench.enumeration import decode, encode
 from traitbench.fixtures import all_fixtures
 from traitbench.machine import EquivKind, MachineDescription, RunKind, equiv_bounded, format_machine, render_tape, run, strings_up_to, trace
-from traitbench.transforms import TransformReceipt, canonicalize, delay_inject, leaky_wrap, pad, receipt_for
+from traitbench.transforms import TransformReceipt, canonicalize, delay_inject, leaky_wrap, pad, receipt_for, variant_run
 from util import canonical_machines, noncanonical_machines
 
 
@@ -239,6 +242,75 @@ class TestConstruction:
             checked.clear()
             variant = build()
             assert len(checked) == 1 and checked[0] is variant
+
+
+_ALL_FIELDS = attrgetter("kind", "steps", "space", "output", "reason", "lo")
+
+
+def lead_in(kind, parameter, sigma):
+    """The steps a rewrite runs before m starts, as variant_run's docstring counts them."""
+    if kind == "pad":
+        return 0
+    return parameter if kind == "delay" else 2 * len(sigma) + 2 * len(parameter) + 4
+
+
+def assert_variant_runs_read_off_the_members(m, chis, max_len, fuels) -> Counter:
+    """variant_run against run on the built variant, two parameters of each rewrite; the derived cases, per kind.
+
+    m's run under fuel is read as the variant's under fuel, as a probe reads
+    it, and under fuel plus the lead-in, as measure --discriminate does.
+    """
+    derived: Counter = Counter()
+    variants = [("pad", k, pad(m, k)) for k in (1, 2)] + [("delay", d, delay_inject(m, d)) for d in (2, 6)] + [("leak", chi, leaky_wrap(m, chi)) for chi in chis]
+    for sigma in strings_up_to(m.input_alphabet, max_len):
+        for fuel in fuels:
+            ran = run(m, sigma, fuel)
+            for kind, parameter, variant in variants:
+                for variant_fuel in {fuel, fuel + lead_in(kind, parameter, sigma)}:
+                    got = variant_run(kind, parameter, sigma, variant_fuel, ran)
+                    if got is not None:
+                        assert _ALL_FIELDS(got) == _ALL_FIELDS(run(variant, sigma, variant_fuel)), (kind, parameter, sigma, variant_fuel)
+                        derived[kind] += 1
+    return derived
+
+
+class TestVariantRun:
+    """A variant's run read off its member's is the run the variant makes."""
+
+    @given(canonical_machines(max_states=5, max_sigma=2, max_extras=1) | noncanonical_machines(), st.data(), st.integers(24, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_variants_own_run(self, m, data, far):
+        # chi from the tape alphabet, from outside it, or from both. Fuels
+        # 0 to 23 run from below each lead-in to past the longest, 12 steps.
+        inside = [sym for sym in m.tape_alphabet if sym != m.blank]
+        outside = [sym for sym in "xyzXYZ!?" if sym not in m.tape_alphabet]
+        pool = data.draw(st.sampled_from([p for p in (inside, outside, inside + outside) if p]))
+        chis = data.draw(st.lists(st.text(st.sampled_from(pool), min_size=1, max_size=3), min_size=2, max_size=2, unique=True))
+        assert_variant_runs_read_off_the_members(m, chis, 1, (*range(24), far))
+
+    def test_agrees_on_a_decoded_window(self):
+        # One index from each of 300 equal strata of [0, 3 * 10**8), which
+        # cross the shapes (5,1,0), (6,1,0) and (4,2,0), at the sweeps' fuels
+        # and below them.
+        rng = random.Random(2)
+        width = 3 * 10**8 // 300
+        derived: Counter = Counter()
+        for index in (k * width + rng.randrange(width) for k in range(300)):
+            m = decode(index)
+            chis = (m.input_alphabet[0], m.input_alphabet[-1] + "X")
+            derived += assert_variant_runs_read_off_the_members(m, chis, 2, (0, 3, 9, 14, 30, 100, 257))
+        assert min(derived[kind] for kind in ("pad", "delay", "leak")) > 1000, derived
+
+    def test_nothing_is_read_off_a_run_that_cannot_tell(self, echo, looper):
+        # echo halts in 1 step; a delay of 6 needs fuel 7 and a leak of "ab" on "ab" 13.
+        assert variant_run("delay", 6, "ab", 6, run(echo, "ab", 6)) is None
+        assert variant_run("delay", 6, "ab", 7, run(echo, "ab", 7)) == run(delay_inject(echo, 6), "ab", 7)
+        assert variant_run("leak", "ab", "ab", 12, run(echo, "ab", 12)) is None
+        assert variant_run("leak", "ab", "ab", 13, run(echo, "ab", 13)) == run(leaky_wrap(echo, "ab"), "ab", 13)
+        # A run out of fuel tells a variant's only under its fuel plus the lead-in.
+        assert variant_run("delay", 2, "a", 50, run(looper, "a", 50)) is None
+        assert variant_run("delay", 2, "a", 52, run(looper, "a", 50)) == run(delay_inject(looper, 2), "a", 52)
+        assert variant_run("pad", 1, "a", 50, run(looper, "a", 50)) == run(pad(looper, 1), "a", 50)
 
 
 class TestPinnedConstructions:

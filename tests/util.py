@@ -163,15 +163,15 @@ def reference_classify(m, tape):
 
 
 def reference_run(m, sigma, fuel):
-    """(configurations, kind, steps, space, output, reason) of a fuel-bounded run."""
+    """(configurations, kind, steps, space, output, reason, leftmost cell scanned) of a fuel-bounded run."""
     configs, visited = [], {0}
     for steps, (state, head, tape) in enumerate(reference_configs(m, sigma)):
         configs.append((state, head, tape))
         if state in (m.accept_state, m.reject_state):
             kind, output, reason = reference_classify(m, tape)
-            return configs, kind, steps, len(visited), output, reason
+            return configs, kind, steps, len(visited), output, reason, min(visited)
         if steps == fuel:
-            return configs, RunKind.FUEL_EXHAUSTED, steps, len(visited), None, None
+            return configs, RunKind.FUEL_EXHAUSTED, steps, len(visited), None, None, min(visited)
         visited.add(head)
 
 
@@ -179,7 +179,7 @@ def reference_containment(m, policy, inputs, fuel):
     """containment_check as a full scan: every configuration of reference_run has its tape rendered and searched."""
     trace_violations, output_violations, unresolved = [], [], []
     for sigma in sorted(set(inputs)):
-        configs, kind, _, _, output, _ = reference_run(m, sigma, fuel)
+        configs, kind, _, _, output, _, _ = reference_run(m, sigma, fuel)
         found = set()
         for step, (_, _, tape) in enumerate(configs):
             rendering = "".join(tape.get(i, m.blank) for i in range(min(tape), max(tape) + 1)) if tape else ""
