@@ -304,19 +304,21 @@ _shared_outcome = lru_cache(maxsize=_OUTCOMES_REMEMBERED)(RunOutcome)
 RunLookup = Callable[[str, int], RunOutcome]
 
 
-def _run_table(m: MachineDescription) -> RunLookup:
+def _run_table(m: MachineDescription, member: RunLookup | None = None, derive: Callable[[str, int, RunOutcome], RunOutcome | None] | None = None) -> RunLookup:
     """m's runs by (input, fuel), each made through run on first use and kept while the lookup lives.
 
-    run is read from this module when a run is made, so a rebound run (a
-    tracer's or a test's) sees every run made. A dict, not functools.cache,
-    because cache's wrapper setup costs more than a query's lookups.
+    Given member, a run is derive(sigma, fuel, member(sigma, fuel)) unless
+    that is None, as a probe variant's are. run is read from this module
+    when a run is made, so a rebound run (a tracer's or a test's) sees every
+    run made. A dict, not functools.cache, because cache's wrapper setup
+    costs more than a query's lookups.
     """
     table: dict[tuple[str, int], RunOutcome] = {}
 
     def outcome(sigma: str, fuel: int) -> RunOutcome:
         ran = table.get((sigma, fuel))
         if ran is None:
-            ran = table[sigma, fuel] = run(m, sigma, fuel)
+            ran = table[sigma, fuel] = (member and derive(sigma, fuel, member(sigma, fuel))) or run(m, sigma, fuel)
         return ran
 
     return outcome

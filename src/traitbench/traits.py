@@ -22,8 +22,10 @@ classical reduction showing state-count-and-halting traits are undecidable.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Collection, Iterable, Mapping
 
 from .containment import ContainmentPolicy, ContainmentVerdict, containment_check
@@ -32,7 +34,6 @@ from .machine import (
     MachineDescription,
     RunKind,
     RunLookup,
-    RunOutcome,
     _natural,
     _run_table,
     run,
@@ -103,19 +104,23 @@ class _TraitOps:
 
 @dataclass(frozen=True)
 class TraitDef(_TraitOps):
-    """A leaf trait: a named evaluator plus an honesty declaration.
+    """A leaf trait: a named evaluator and the kind it was built as.
 
-    declared_kind is a claim about why the trait is what it is: a
-    semantic-by-construction evaluator consults only input-output behaviour,
-    never structure or cost, so function-preserving rewrites cannot change
-    its answer. The declaration gates nothing except the sem side of
-    sem_syn_partition, where membership without a syntactic witness is
-    trusted only for traits built that way.
+    SEMANTIC is a fact, not a claim: only a leaf whose decider sees the
+    behaviour view (total_on_nonempty_trait, behavior_trait) has it, and any
+    other evaluator, seen through __wrapped__ as inspect.unwrap does, is
+    refused it with ValueError. That decider reads outputs and their
+    definedness, never structure or cost, so function-preserving rewrites
+    cannot change its answer. The kind gates only sem_syn_partition's sem.
     """
 
     name: str
     evaluator: Callable[[MachineDescription, Bounds, RunLookup], Verdict]
     declared_kind: DeclaredKind = DeclaredKind.UNKNOWN
+
+    def __post_init__(self):
+        if self.declared_kind is DeclaredKind.SEMANTIC and not isinstance(inspect.unwrap(self.evaluator), _SeesBehaviour):
+            raise ValueError(f"trait {self.name!r} is not built on the behaviour view, so it cannot be declared semantic")
 
 
 @dataclass(frozen=True)
@@ -186,9 +191,29 @@ def state_count_trait(n: int) -> TraitDef:
     return TraitDef(f"states:{n}", evaluator, DeclaredKind.SYNTACTIC)
 
 
+_UNSETTLED = object()  # the behaviour view of a run that did not halt
+
+
+class _SeesBehaviour:
+    """A decider for _leaf that calls decide(inputs, behaviour): the one way a leaf becomes SEMANTIC.
+
+    behaviour(sigma) runs sigma on first use and gives its output, None when it halted
+    undefined, or _UNSETTLED; decide never sees the machine, steps, space or a RunOutcome.
+    """
+
+    def __init__(self, decide: Callable[[Iterable[str], Callable[[str], object]], Verdict]):
+        self.decide = decide
+
+    def __call__(self, m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
+        def behaviour(sigma: str) -> object:
+            ran = outcome(sigma, fuel)
+            return ran.output if ran.halted else _UNSETTLED
+
+        return self.decide(strings_up_to(m.input_alphabet, max_len), behaviour)
+
+
 def _leaf(
     name: str,
-    kind: DeclaredKind,
     max_len: int | None,
     fuel: int | None,
     decide: Callable[[MachineDescription, RunLookup, int, int], Verdict],
@@ -205,8 +230,9 @@ def _leaf(
     def evaluator(m: MachineDescription, bounds: Bounds, outcome: RunLookup) -> Verdict:
         return decide(m, outcome, bounds.max_len if max_len is None else max_len, bounds.fuel if fuel is None else fuel)
 
+    evaluator.__wrapped__ = decide  # what TraitDef unwraps to tell a semantic leaf
     suffix = "" if max_len is None else f":{max_len}:{fuel}"
-    return TraitDef(name + suffix, evaluator, kind)
+    return TraitDef(name + suffix, evaluator, DeclaredKind.SEMANTIC if isinstance(decide, _SeesBehaviour) else DeclaredKind.SYNTACTIC)
 
 
 def total_on_nonempty_trait(max_len: int | None = None, fuel: int | None = None) -> TraitDef:
@@ -219,19 +245,19 @@ def total_on_nonempty_trait(max_len: int | None = None, fuel: int | None = None)
     verdict Unknown.
     """
 
-    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
+    def decide(inputs: Iterable[str], behaviour: Callable[[str], object]) -> Verdict:
         unknown = False
-        for sigma in strings_up_to(m.input_alphabet, max_len):
+        for sigma in inputs:
             if not sigma:
                 continue
-            kind = outcome(sigma, fuel).kind
-            if kind is RunKind.HALTED_UNDEFINED:
+            out = behaviour(sigma)
+            if out is None:
                 return Verdict.OUT
-            if kind is RunKind.FUEL_EXHAUSTED:
+            if out is _UNSETTLED:
                 unknown = True
         return Verdict.UNKNOWN if unknown else Verdict.IN
 
-    return _leaf("total-nonempty", DeclaredKind.SEMANTIC, max_len, fuel, decide)
+    return _leaf("total-nonempty", max_len, fuel, _SeesBehaviour(decide))
 
 
 _BOUND_VERDICTS = {
@@ -257,7 +283,7 @@ def usage_bounded_trait(
     def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
         return _BOUND_VERDICTS[_usage_within(outcome, m, measure, bound, max_len, fuel).kind]
 
-    return _leaf(f"{measure.name}-within:{bound.describe()}", DeclaredKind.SYNTACTIC, max_len, fuel, decide)
+    return _leaf(f"{measure.name}-within:{bound.describe()}", max_len, fuel, decide)
 
 
 _CONTAINMENT_VERDICTS = {
@@ -274,40 +300,40 @@ def contained_trait(policy: ContainmentPolicy, max_len: int | None = None, fuel:
         report = containment_check(m, policy, strings_up_to(m.input_alphabet, max_len), fuel)
         return _CONTAINMENT_VERDICTS[report.verdict]
 
-    return _leaf("contained", DeclaredKind.SYNTACTIC, max_len, fuel, decide)
+    return _leaf("contained", max_len, fuel, decide)
 
 
 @dataclass(frozen=True)
 class FunctionProperty:
-    """A predicate over observed (input, outcome) samples.
+    """A predicate over observed (input, output) samples.
 
-    The predicate must depend only on input-output behaviour: outputs and
-    their definedness, never steps, space, or anything structural. That
-    discipline is what entitles traits built from one to the
-    semantic-by-construction declaration.
+    The predicate gets one pair per tested input: the input and its output,
+    or None where the run halted undefined. behavior_trait answers Unknown
+    before any unsettled sample reaches it, and it sees no steps, space or
+    machine, so a trait built from it is semantic-by-construction.
     """
 
     name: str
-    predicate: Callable[[tuple[tuple[str, RunOutcome], ...]], bool]
+    predicate: Callable[[tuple[tuple[str, str | None], ...]], bool]
 
 
 def behavior_trait(prop: FunctionProperty, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
-    """Lift a function property to a trait by sampling runs up to the bounds."""
+    """Lift a function property to a semantic trait; Unknown at the first input that does not halt."""
 
-    def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
+    def decide(inputs: Iterable[str], behaviour: Callable[[str], object]) -> Verdict:
         samples = []
-        for sigma in strings_up_to(m.input_alphabet, max_len):
-            ran = outcome(sigma, fuel)
-            if not ran.halted:
+        for sigma in inputs:
+            out = behaviour(sigma)
+            if out is _UNSETTLED:
                 return Verdict.UNKNOWN
-            samples.append((sigma, ran))
+            samples.append((sigma, out))
         return Verdict.IN if prop.predicate(tuple(samples)) else Verdict.OUT
 
-    return _leaf(prop.name, DeclaredKind.SEMANTIC, max_len, fuel, decide)
+    return _leaf(prop.name, max_len, fuel, _SeesBehaviour(decide))
 
 
-def _echoes(samples: tuple[tuple[str, RunOutcome], ...]) -> bool:
-    return all(out.output == sigma for sigma, out in samples if sigma)
+def _echoes(samples: tuple[tuple[str, str | None], ...]) -> bool:
+    return all(out == sigma for sigma, out in samples if sigma)
 
 
 def echoes_input_trait(max_len: int | None = None, fuel: int | None = None) -> TraitDef:
@@ -386,9 +412,8 @@ def _probe(
         else:
             parameter = m.input_alphabet[0] * scale
             variant = leaky_wrap(m, parameter)
-        # Each run is read off m's; own runs the variant only where m's run cannot tell.
-        own = _run_table(variant)
-        verdict = _eval(trait, variant, bounds, lambda sigma, fuel: variant_run(kind, parameter, sigma, fuel, outcome(sigma, fuel)) or own(sigma, fuel))
+        # Each run is read off m's once; the variant runs only where m's run cannot tell.
+        verdict = _eval(trait, variant, bounds, _run_table(variant, outcome, partial(variant_run, kind, parameter)))
         if verdict is Verdict.OUT:
             return ProbeResult(variant, kind, str(parameter), i + 1, False)
         if verdict is not Verdict.IN:
@@ -401,9 +426,9 @@ class SemSynPartition:
     """In-verdict indices split by what probing found.
 
     syn holds members with a separating witness, sem holds members where
-    every variant stayed In and the trait is declared semantic-by-
-    construction, unknown holds the rest. Probing can only ever certify the
-    syn side; the sem side is structural trust, never proof.
+    every variant stayed In and the trait is a semantic leaf, unknown holds
+    the rest. Probing only certifies syn; sem holds by construction, as a
+    semantic leaf sees only behaviour, which the rewrites preserve.
     """
 
     trait_name: str

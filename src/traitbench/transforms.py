@@ -113,13 +113,15 @@ def variant_run(kind: str, parameter: int | str, sigma: str, fuel: int, ran: Run
     [-1, |sigma| + |chi| + 1]. ran is m's run on sigma under fuel - e or
     more. When it takes s <= fuel - e steps, as a halt by then does, the
     variant's run takes s + e steps with ran's kind, output and reason, over
-    the union of [a, b] and ran's cells.
+    the union of [a, b] and ran's cells. Any other kind raises ValueError.
     """
     e, a, b = 0, 0, 0
     if kind == "delay":
         e, a = parameter, -(parameter // 2)
     elif kind == "leak":
         e, a, b = 2 * len(sigma) + 2 * len(parameter) + 4, -1, len(sigma) + len(parameter) + 1
+    elif kind != "pad":
+        raise ValueError(f"variant kind must be pad, delay or leak, got {kind!r}")
     if ran.steps > fuel - e:
         return None
     lo = min(ran.lo, a)

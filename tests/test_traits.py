@@ -1,5 +1,6 @@
 """Trait algebra, semanticity probing, partitioning, and oracle wiring."""
 
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from traitbench import traits
 from traitbench.containment import ContainmentPolicy
 from traitbench.enumeration import decode
-from traitbench.machine import EquivKind, MachineDescription, equiv_bounded, run
+from traitbench.machine import EquivKind, MachineDescription, equiv_bounded, run, strings_up_to
 from traitbench.measures import parse_bound, time_measure
-from traitbench.transforms import delay_inject, leaky_wrap
+from traitbench.transforms import delay_inject, leaky_wrap, variant_run
 from traitbench.traits import (
     MAX_TRAIT_DEPTH,
     Bounds,
@@ -117,10 +118,64 @@ class TestLeafTraits:
         always_outputs_a = FunctionProperty(
             "starts-with-a",
             lambda samples: all(
-                out.output is None or out.output.startswith("a") for _, out in samples
+                out is None or out.startswith("a") for _, out in samples
             ),
         )
         assert eval_trait(behavior_trait(always_outputs_a), marker, BOUNDS) is IN
+
+
+class TestSemanticByConstruction:
+    """Only a leaf built on the behaviour view is SEMANTIC, and its decider sees nothing else."""
+
+    def test_a_raw_semantic_declaration_is_refused(self):
+        with pytest.raises(ValueError, match="^trait 'x' is not built on the behaviour view"):
+            TraitDef("x", lambda m, b, outcome: IN, DeclaredKind.SEMANTIC)
+
+    def test_wrapping_a_syntactic_leaf_does_not_make_it_semantic(self):
+        leaf = usage_bounded_trait(time_measure(), parse_bound("n+5"))
+
+        def wrapped(m, b, outcome):
+            return leaf.evaluator(m, b, outcome)
+
+        wrapped.__wrapped__ = leaf.evaluator
+        with pytest.raises(ValueError, match="cannot be declared semantic"):
+            TraitDef(leaf.name, wrapped, DeclaredKind.SEMANTIC)
+
+    @pytest.mark.parametrize("leaf", [total_on_nonempty_trait(), echoes_input_trait(2, 100)], ids=expr_name)
+    def test_a_wrapped_semantic_evaluator_keeps_its_kind(self, leaf):
+        # A tracer rebuilds each leaf as TraitDef(name, wrapped, kind), with wrapped.__wrapped__ = evaluator.
+        def wrapped(m, b, outcome):
+            return leaf.evaluator(m, b, outcome)
+
+        wrapped.__wrapped__ = leaf.evaluator
+        rebuilt = TraitDef(leaf.name, wrapped, leaf.declared_kind)
+        partition = sem_syn_partition(rebuilt, range(400), probes=2, bounds=BOUNDS)
+        assert partition.sem
+        assert partition == sem_syn_partition(leaf, range(400), probes=2, bounds=BOUNDS)
+
+    def test_a_predicate_cannot_read_steps(self, echo):
+        fast = behavior_trait(FunctionProperty("fast", lambda samples: all(o.steps < 6 for _, o in samples)))
+        assert fast.declared_kind is DeclaredKind.SEMANTIC
+        with pytest.raises(AttributeError):
+            eval_trait(fast, echo, BOUNDS)
+
+    def test_a_semantic_leaf_is_constant_on_each_behaviour_class(self):
+        # Machines grouped by what each input up to length 2 gives at fuel 100:
+        # an output, undefined (None) or unsettled (no halt).
+        def view(ran):
+            return ran.output if ran.halted else "unsettled"
+
+        classes = {}
+        for n in range(144, 2144):
+            m = decode(n)
+            signature = tuple((sigma, view(run(m, sigma, BOUNDS.fuel))) for sigma in strings_up_to(m.input_alphabet, BOUNDS.max_len))
+            classes.setdefault(signature, []).append(m)
+        grows = FunctionProperty("grows", lambda samples: any(out is not None and len(out) > len(sigma) for sigma, out in samples))
+        assert max(map(len, classes.values())) > 1
+        for trait in (total_on_nonempty_trait(), echoes_input_trait(), behavior_trait(grows)):
+            verdicts = [{eval_trait(trait, m, BOUNDS) for m in members} for members in classes.values()]
+            assert all(len(v) == 1 for v in verdicts), expr_name(trait)
+            assert set().union(*verdicts) >= {IN, OUT}, expr_name(trait)
 
 
 CHEAP_LEAVES = (
@@ -347,6 +402,15 @@ class TestProbeSemanticity:
         # Six nonempty inputs up to length 2, each run once, on the member only.
         assert len(runs) == len(set(runs)) == 6
         assert {m for m, _, _ in runs} == {echo}
+
+    def test_each_variant_derives_each_run_once(self, echo, monkeypatch):
+        # Both leaves ask every variant for every input; the second reads the variant's table.
+        derived = Counter()
+        monkeypatch.setattr(traits, "variant_run", lambda *args: derived.update([args[:4]]) or variant_run(*args))
+        result = probe_semanticity(parse_trait("and(total-nonempty,echoes)"), echo, 6, Bounds(2, 500))
+        assert result.all_in and result.variants_checked == 6
+        # Seven inputs up to length 2 for each of the six variants.
+        assert len(derived) == 42 and set(derived.values()) == {1}
 
 
 class TestPartition:

@@ -312,6 +312,12 @@ class TestVariantRun:
         assert variant_run("delay", 2, "a", 52, run(looper, "a", 50)) == run(delay_inject(looper, 2), "a", 52)
         assert variant_run("pad", 1, "a", 50, run(looper, "a", 50)) == run(pad(looper, 1), "a", 50)
 
+    @pytest.mark.parametrize("kind", ["leaky", "padding", "", "Pad"])
+    def test_an_unknown_kind_is_refused(self, echo, kind):
+        # Read as pad, "leaky" would give echo's own 1-step run, where leaky_wrap(echo, "ab") takes 13.
+        with pytest.raises(ValueError, match=f"^variant kind must be pad, delay or leak, got {kind!r}$"):
+            variant_run(kind, "ab", "ab", 100, run(echo, "ab", 100))
+
 
 class TestPinnedConstructions:
     def test_rewrites_of_the_fixtures_are_byte_identical(self):
