@@ -190,6 +190,9 @@ def _validate(m: MachineDescription) -> None:
     The constructor and `enumerate --validate` read this from the module at
     call time, so a rebound _validate (a tracer's) sees every check.
     """
+    for name in ("state_count", "start_state", "accept_state", "reject_state"):
+        if not isinstance(getattr(m, name), int):
+            raise MachineError(f"{name} {getattr(m, name)!r} is not an integer")
     if m.state_count < 3:
         raise MachineError("a machine needs at least start, accept, and reject states")
     for label, q in (("start", m.start_state), ("accept", m.accept_state), ("reject", m.reject_state)):
@@ -230,17 +233,11 @@ def _validate(m: MachineDescription) -> None:
         if mv not in (LEFT, RIGHT):
             raise MachineError(f"rule ({q}, {s!r}) has move {mv!r}, expected {LEFT} or {RIGHT}", rule)
     # Each key in seen is distinct and pairs a tape symbol with a state in
-    # [0, state_count) that does not halt. When the roles and those states are
-    # integers, such keys cover the working states times the tape alphabet
-    # exactly when there are (state_count - 2) * len(tape_alphabet) of them.
-    # Any other table is walked pair by pair, to name the first one missing.
-    states = range(n)
-    if not (
-        len(seen) == (n - 2) * len(m.tape_alphabet)
-        and m.accept_state in states
-        and m.reject_state in states
-        and set(states).issuperset(map(itemgetter(0), seen))
-    ):
+    # [0, state_count) that does not halt. The roles are integers, so when
+    # those states are too, such keys cover the working states times the tape
+    # alphabet exactly when there are (state_count - 2) * len(tape_alphabet)
+    # of them. Any other table is walked pair by pair, to name the first one missing.
+    if not (len(seen) == (n - 2) * len(m.tape_alphabet) and set(range(n)).issuperset(map(itemgetter(0), seen))):
         for q in m.working_states():
             for s in m.tape_alphabet:
                 if (q, s) not in seen:

@@ -30,7 +30,6 @@ from .machine import (
     run,
     strings_up_to,
 )
-from .transforms import delay_inject, variant_run
 
 
 @dataclass(frozen=True)
@@ -385,6 +384,9 @@ def discriminating_witness(
     own cost is defined. The delayed machine gets d extra fuel so that the
     injected steps alone can never mask definedness.
     """
+    # Imported here, the one place measures uses transforms, so that a Blum check does not load it.
+    from .transforms import delay_inject, variant_run
+
     base: list[tuple[str, RunOutcome, int]] = []
     for sigma in strings_up_to(m.input_alphabet, max_len):
         ran = run(m, sigma, fuel)

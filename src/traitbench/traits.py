@@ -28,7 +28,6 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Collection, Iterable, Mapping
 
-from .containment import ContainmentPolicy, ContainmentVerdict, containment_check
 from .enumeration import decode
 from .machine import (
     MachineDescription,
@@ -112,6 +111,9 @@ class TraitDef(_TraitOps):
     refused it with ValueError. That decider reads outputs and their
     definedness, never structure or cost, so function-preserving rewrites
     cannot change its answer. The kind gates only sem_syn_partition's sem.
+    Because SEMANTIC is derived from the __wrapped__ chain, a wrapper that
+    sets __wrapped__ by hand must only forward its arguments; perfbench's
+    tracer is the one caller that does this.
     """
 
     name: str
@@ -286,19 +288,20 @@ def usage_bounded_trait(
     return _leaf(f"{measure.name}-within:{bound.describe()}", max_len, fuel, decide)
 
 
-_CONTAINMENT_VERDICTS = {
-    ContainmentVerdict.CONTAINED: Verdict.IN,
-    ContainmentVerdict.VIOLATED: Verdict.OUT,
-    ContainmentVerdict.INCONCLUSIVE: Verdict.UNKNOWN,
-}
-
-
 def contained_trait(policy: ContainmentPolicy, max_len: int | None = None, fuel: int | None = None) -> TraitDef:
     """Machines whose traces and outputs respect a containment policy."""
+    # Imported here, the one place traits uses containment, so that the other traits do not load it.
+    from .containment import ContainmentVerdict, containment_check
+
+    verdicts = {
+        ContainmentVerdict.CONTAINED: Verdict.IN,
+        ContainmentVerdict.VIOLATED: Verdict.OUT,
+        ContainmentVerdict.INCONCLUSIVE: Verdict.UNKNOWN,
+    }
 
     def decide(m: MachineDescription, outcome: RunLookup, max_len: int, fuel: int) -> Verdict:
         report = containment_check(m, policy, strings_up_to(m.input_alphabet, max_len), fuel)
-        return _CONTAINMENT_VERDICTS[report.verdict]
+        return verdicts[report.verdict]
 
     return _leaf("contained", max_len, fuel, decide)
 

@@ -795,6 +795,14 @@ class TestOddFields:
         fields = {**SMALL_MACHINE_FIELDS, **changes}
         assert outcome(lambda: MachineDescription(**fields)) == outcome(lambda: reference_validate(unvalidated_machine(**fields)))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("state_count", 4.0), ("state_count", "4"), ("start_state", None), ("accept_state", 2.5), ("accept_state", 2.0), ("reject_state", "3")],
+    )
+    def test_a_non_integer_header_field_is_a_machine_error_naming_it(self, name, value):
+        fields = {**SMALL_MACHINE_FIELDS, name: value}
+        assert outcome(lambda: MachineDescription(**fields)) == (MachineError, f"{name} {value!r} is not an integer", ())
+
 
 class TestTotality:
     """A count of distinct keys settles a total table; a table that fails it is named as the reference names it."""

@@ -177,6 +177,23 @@ class TestSemanticByConstruction:
             assert all(len(v) == 1 for v in verdicts), expr_name(trait)
             assert set().union(*verdicts) >= {IN, OUT}, expr_name(trait)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(canonical_machines(max_states=5, max_sigma=1, max_extras=1), min_size=30, max_size=60, unique=True))
+    def test_a_semantic_leaf_is_constant_on_each_drawn_behaviour_class(self, machines):
+        # One input letter and few states, so that drawn machines often share a
+        # class while halting after different numbers of steps.
+        def view(ran):
+            return ran.output if ran.halted else "unsettled"
+
+        classes = {}
+        for m in machines:
+            signature = tuple((sigma, view(run(m, sigma, BOUNDS.fuel))) for sigma in strings_up_to(m.input_alphabet, BOUNDS.max_len))
+            classes.setdefault(signature, []).append(m)
+        short = FunctionProperty("short", lambda samples: all(out is not None and len(out) <= len(sigma) + 1 for sigma, out in samples))
+        for trait in (total_on_nonempty_trait(), echoes_input_trait(), behavior_trait(short)):
+            for members in classes.values():
+                assert len({eval_trait(trait, m, BOUNDS) for m in members}) == 1, expr_name(trait)
+
 
 CHEAP_LEAVES = (
     state_count_trait(3),

@@ -251,6 +251,10 @@ def unvalidated_machine(**fields) -> MachineDescription:
 
 def reference_validate(m: MachineDescription) -> None:
     """Every check of a machine, one after another and rule by rule, written apart from machine._validate."""
+    header = {"state_count": m.state_count, "start_state": m.start_state, "accept_state": m.accept_state, "reject_state": m.reject_state}
+    for name, value in header.items():
+        if not isinstance(value, int):
+            raise MachineError(f"{name} {value!r} is not an integer")
     if m.state_count < 3:
         raise MachineError("a machine needs at least start, accept, and reject states")
     for label, q in (("start", m.start_state), ("accept", m.accept_state), ("reject", m.reject_state)):
